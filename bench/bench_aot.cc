@@ -26,8 +26,8 @@
 
 #include "bench/common.hh"
 #include "netlist/aot.hh"
-#include "netlist/compiled_evaluator.hh"
 #include "netlist/evaluator.hh"
+#include "netlist/tape_evaluator.hh"
 
 using namespace manticore;
 
@@ -94,11 +94,13 @@ main(int argc, char **argv)
         // Cold startup: codegen + host compile (or whatever the cache
         // already holds); warm startup must be compile-free.
         auto t0 = std::chrono::steady_clock::now();
-        netlist::AotEvaluator cold(nl, aot_options);
+        netlist::TapeEvaluator cold(nl, aot_options,
+                                    netlist::EvalMode::Aot);
         double cold_s = secondsSince(t0);
 
         t0 = std::chrono::steady_clock::now();
-        netlist::AotEvaluator aot(nl, aot_options);
+        netlist::TapeEvaluator aot(nl, aot_options,
+                                   netlist::EvalMode::Aot);
         double warm_s = secondsSince(t0);
         if (!aot.usingAot() || aot.compilerInvocations() != 0 ||
             !aot.cacheHit())
@@ -162,7 +164,8 @@ main(int argc, char **argv)
             std::error_code ec;
             std::filesystem::remove_all(cold_options.aotCacheDir, ec);
             auto t0 = std::chrono::steady_clock::now();
-            netlist::AotEvaluator cold(nl, cold_options);
+            netlist::TapeEvaluator cold(nl, cold_options,
+                                        netlist::EvalMode::Aot);
             secs[pass] = secondsSince(t0);
             invocations = cold.compilerInvocations();
             std::filesystem::remove_all(cold_options.aotCacheDir, ec);

@@ -3,7 +3,7 @@
  * Reference vs compiled netlist evaluation rate on the Fig. 6
  * benchmark set at the paper's >= 64-core scale (the same large
  * builds Fig. 7 / Table 3 use).  The reference Evaluator allocates a
- * BitVector per node per cycle; the CompiledEvaluator runs the same
+ * BitVector per node per cycle; the TapeEvaluator runs the same
  * DAG as a flat tape over a preallocated limb arena.  The measured
  * ratio is the cost of that allocation + indirection, and the row is
  * appended to BENCH_compiled_evaluator.json so the perf trajectory is
@@ -13,8 +13,8 @@
 #include <cstdio>
 
 #include "bench/common.hh"
-#include "netlist/compiled_evaluator.hh"
 #include "netlist/evaluator.hh"
+#include "netlist/tape_evaluator.hh"
 
 using namespace manticore;
 
@@ -61,7 +61,7 @@ main()
         // 2048-cycle chunk overshoots the budget; use a smaller one.
         double ref_khz = measure(*ref, horizon, 256);
 
-        netlist::CompiledEvaluator tape(nl);
+        netlist::TapeEvaluator tape(nl);
         double tape_khz = measure(tape, horizon, 2048);
 
         double speedup = ref_khz > 0 ? tape_khz / ref_khz : 0.0;

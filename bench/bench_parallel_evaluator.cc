@@ -5,8 +5,8 @@
  * §6.1 claim that RTL simulation scales when the design is split into
  * balanced processes communicating only at end-of-Vcycle barriers.
  *
- * For every design the harness measures the serial CompiledEvaluator
- * rate, then sweeps the ParallelCompiledEvaluator over thread counts
+ * For every design the harness measures the serial (netlist.compiled)
+ * rate, then sweeps the netlist.parallel preset over thread counts
  * and both merge strategies (communication-aware Balanced vs LPT,
  * Fig. 9 / Table 4).  Alongside the measured rate it reports the
  * partition-balance bound totalCost/maxCost — the speedup the
@@ -20,8 +20,7 @@
 #include <cstdio>
 
 #include "bench/common.hh"
-#include "netlist/compiled_evaluator.hh"
-#include "netlist/parallel_evaluator.hh"
+#include "netlist/tape_evaluator.hh"
 
 using namespace manticore;
 
@@ -67,7 +66,7 @@ main()
         uint64_t horizon = bench::measureHorizon(bm.name);
         netlist::Netlist nl = bm.build(horizon);
 
-        netlist::CompiledEvaluator serial(nl);
+        netlist::TapeEvaluator serial(nl);
         double serial_khz = measure(serial, horizon, 2048);
 
         double best = 0.0;
@@ -76,8 +75,8 @@ main()
                         mergeAlgoName(algo), serial_khz);
             netlist::NetlistPartitionStats stats;
             for (unsigned t : kThreads) {
-                netlist::ParallelCompiledEvaluator par(
-                    nl, {t, algo});
+                netlist::TapeEvaluator par(nl, {t, algo},
+                                           netlist::EvalMode::Parallel);
                 // Small chunks: on oversubscribed hosts a parallel
                 // cycle can cost scheduler quanta, and the budget
                 // check only runs between chunks.

@@ -5,9 +5,7 @@
 
 #include "engine/snapshot.hh"
 #include "isa/tape_interpreter.hh"
-#include "netlist/aot.hh"
-#include "netlist/compiled_evaluator.hh"
-#include "netlist/parallel_evaluator.hh"
+#include "netlist/tape_evaluator.hh"
 #include "runtime/host.hh"
 #include "support/bytestream.hh"
 #include "support/logging.hh"
@@ -181,6 +179,7 @@ NetlistEngine::NetlistEngine(std::string name,
                              netlist::EvaluatorBase &eval,
                              const netlist::Netlist &netlist)
     : _name(std::move(name)), _eval(&eval),
+      _tape(dynamic_cast<const netlist::TapeEvaluator *>(&eval)),
       _designHash(engine::designHash(netlist))
 {
     _probeNames = rtlRegisterNames(netlist);
@@ -209,20 +208,14 @@ uint32_t
 NetlistEngine::capabilities() const
 {
     uint32_t caps = cap::kInputs | cap::kProbes | cap::kDisplayLog;
-    if (dynamic_cast<const netlist::CompiledEvaluator *>(_eval) ||
-        dynamic_cast<const netlist::ParallelCompiledEvaluator *>(_eval))
+    if (_tape)
         caps |= cap::kBatchedStep;
     if (_eval->lanes() > 1)
         caps |= cap::kEnsemble;
     // kAotCompiled reports the executor actually running, so it is
-    // NOT set when an AOT engine fell back to the interpreted
-    // tape(s) — or, for the parallel variant, when any partition did.
-    if (auto *a = dynamic_cast<const netlist::AotEvaluator *>(_eval);
-        a && a->usingAot())
-        caps |= cap::kAotCompiled;
-    if (auto *pa =
-            dynamic_cast<const netlist::AotParallelEvaluator *>(_eval);
-        pa && pa->usingAot())
+    // NOT set when an AOT preset fell back to the interpreted tape in
+    // any process.
+    if (_tape && _tape->usingAot())
         caps |= cap::kAotCompiled;
     if (_eval->snapshotSupported())
         caps |= cap::kSnapshot;
@@ -365,31 +358,20 @@ NetlistEngine::stats() const
             stats.push_back({"lane" + std::to_string(l) + ".cycles",
                              _eval->laneCycle(l)});
     }
-    if (auto *c = dynamic_cast<const netlist::CompiledEvaluator *>(_eval)) {
-        stats.push_back({"tape_length", c->tapeLength()});
-        stats.push_back({"arena_limbs", c->arenaLimbs()});
-        if (auto *a = dynamic_cast<const netlist::AotEvaluator *>(_eval)) {
-            stats.push_back({"aot_active", a->usingAot() ? 1u : 0u});
-            stats.push_back({"aot_cache_hit", a->cacheHit() ? 1u : 0u});
-            stats.push_back(
-                {"aot_compiler_runs", a->compilerInvocations()});
-        }
-    } else if (auto *p =
-                   dynamic_cast<const netlist::ParallelCompiledEvaluator *>(
-                       _eval)) {
-        stats.push_back({"tape_length", p->tapeLength()});
-        stats.push_back({"arena_limbs", p->arenaLimbs()});
-        stats.push_back({"processes", p->numProcesses()});
-        stats.push_back({"threads", p->numThreads()});
-        if (auto *pa =
-                dynamic_cast<const netlist::AotParallelEvaluator *>(
-                    _eval)) {
-            stats.push_back({"aot_active", pa->usingAot() ? 1u : 0u});
-            stats.push_back({"aot_cache_hit", pa->cacheHit() ? 1u : 0u});
-            stats.push_back(
-                {"aot_compiler_runs", pa->compilerInvocations()});
-            stats.push_back({"aot_partitions", pa->aotPartitions()});
-        }
+    if (!_tape)
+        return stats;
+    stats.push_back({"tape_length", _tape->tapeLength()});
+    stats.push_back({"arena_limbs", _tape->arenaLimbs()});
+    if (_tape->partitioned()) {
+        stats.push_back({"processes", _tape->numProcesses()});
+        stats.push_back({"threads", _tape->numThreads()});
+    }
+    if (_tape->aotRequested()) {
+        stats.push_back({"aot_active", _tape->usingAot() ? 1u : 0u});
+        stats.push_back({"aot_cache_hit", _tape->cacheHit() ? 1u : 0u});
+        stats.push_back({"aot_compiler_runs", _tape->compilerInvocations()});
+        if (_tape->partitioned())
+            stats.push_back({"aot_partitions", _tape->aotPartitions()});
     }
     return stats;
 }
@@ -784,16 +766,8 @@ MachineEngine::setExceptionHandler(ExceptionHandler handler)
 NetlistEngine
 wrap(netlist::EvaluatorBase &eval, const netlist::Netlist &netlist)
 {
-    const char *name = "netlist.reference";
-    if (dynamic_cast<const netlist::AotParallelEvaluator *>(&eval))
-        name = "netlist.parallel.aot";
-    else if (dynamic_cast<const netlist::ParallelCompiledEvaluator *>(
-                 &eval))
-        name = "netlist.parallel";
-    else if (dynamic_cast<const netlist::AotEvaluator *>(&eval))
-        name = "netlist.aot";
-    else if (dynamic_cast<const netlist::CompiledEvaluator *>(&eval))
-        name = "netlist.compiled";
+    auto *tape = dynamic_cast<const netlist::TapeEvaluator *>(&eval);
+    const char *name = tape ? tape->presetName() : "netlist.reference";
     return NetlistEngine(name, eval, netlist);
 }
 

@@ -3,8 +3,8 @@
  * Thin adapters implementing engine::Engine over the concrete
  * engines:
  *
- *  - NetlistEngine  over netlist::EvaluatorBase (reference, compiled,
- *                   partition-parallel),
+ *  - NetlistEngine  over netlist::EvaluatorBase (the reference
+ *                   Evaluator and the TapeEvaluator presets),
  *  - IsaEngine      over isa::InterpreterBase (reference and tape
  *                   interpreters),
  *  - MachineEngine  over machine::Machine (the cycle-level model).
@@ -40,6 +40,10 @@
 
 namespace manticore::runtime {
 class Host;
+}
+
+namespace manticore::netlist {
+class TapeEvaluator;
 }
 
 namespace manticore::engine {
@@ -151,6 +155,9 @@ class NetlistEngine : public ProbedEngine
     std::string _name;
     std::unique_ptr<netlist::EvaluatorBase> _owned;
     netlist::EvaluatorBase *_eval;
+    /// The compiled engine behind _eval (null for the reference
+    /// evaluator): batched step, tape/AOT stats.
+    const netlist::TapeEvaluator *_tape;
     uint64_t _designHash = 0;
     /// Input table: handle -> (node id, width); bound by name once.
     std::vector<std::string> _inputNames;

@@ -259,13 +259,12 @@ create(const std::string &name, const netlist::Netlist &netlist,
         rejectLanes(name, eval.lanes);
 
     if (info->netlistLevel) {
-        netlist::EvalMode mode;
-        if (name == "netlist.parallel.aot") {
-            // Registry variant, not a distinct EvalMode: the parallel
-            // engine with per-partition compiled objects.
-            mode = netlist::EvalMode::Parallel;
-            eval.aot = true;
-        } else {
+        // Each compiled name is a preset of (partition count,
+        // executor): the mode picks the partition count, and only
+        // the .aot names run the AOT executor.
+        netlist::EvalMode mode = netlist::EvalMode::Parallel;
+        eval.aot = name == "netlist.parallel.aot";
+        if (!eval.aot) {
             bool ok = netlist::parseEvalMode(name.substr(8), mode);
             MANTICORE_ASSERT(ok, "registry/EvalMode name drift for ",
                              name);

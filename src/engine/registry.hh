@@ -6,10 +6,10 @@
  *   | name                 | engine                                    |
  *   |----------------------|-------------------------------------------|
  *   | netlist.reference    | graph-walking netlist::Evaluator          |
- *   | netlist.compiled     | flat-tape netlist::CompiledEvaluator      |
- *   | netlist.parallel     | netlist::ParallelCompiledEvaluator        |
- *   | netlist.aot          | AOT-codegen netlist::AotEvaluator         |
- *   | netlist.parallel.aot | netlist::AotParallelEvaluator             |
+ *   | netlist.compiled     | netlist::TapeEvaluator: 1 process, tape   |
+ *   | netlist.parallel     | TapeEvaluator: numThreads processes, tape |
+ *   | netlist.aot          | TapeEvaluator: 1 process, AOT objects     |
+ *   | netlist.parallel.aot | TapeEvaluator: numThreads processes, AOT  |
  *   | isa.reference        | instruction-walking isa::Interpreter      |
  *   | isa.tape             | flat-tape isa::TapeInterpreter            |
  *   | machine              | cycle-level machine::Machine              |
@@ -94,7 +94,8 @@ struct CreateOptions
     /// Shorthand for (and, when != 1, overriding) eval.lanes.
     unsigned lanes = 1;
     /// netlist.parallel knobs (worker count, merge strategy, wait
-    /// policy) and the compiled engines' lane count.
+    /// policy), the compiled engines' lane count and AOT cache /
+    /// compiler settings.  eval.aot is set by the registry name.
     netlist::EvalOptions eval;
     /// Grid / machine configuration for the ISA-level engines (the
     /// netlist is compiled with these options).

@@ -22,7 +22,7 @@ Arena::write(uint32_t slot, unsigned lane, const BitVector &value)
 void
 Arena::broadcast(uint32_t slot, const BitVector &value)
 {
-    lo::broadcast(&_limbs[slot], value.limbs().data(),
+    lo::broadcast(data() + slot, value.limbs().data(),
                   lo::nlimbs(value.width()), _lanes);
 }
 

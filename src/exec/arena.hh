@@ -22,11 +22,9 @@
  * parallel engine aligns every per-process region and register-file
  * owner group so distinct worker threads never write the same line.
  *
- * The arena lived in src/netlist/ until the lane-execution substrate
- * was hoisted out; the layout is engine-family-neutral (the ISA tape
- * interpreter lane-strides its register file the same way), so it
- * lives here now.  src/netlist/arena.hh keeps the old name as an
- * alias.
+ * The layout is engine-family-neutral (the ISA tape interpreter
+ * lane-strides its register file the same way), so it lives in the
+ * shared lane-execution layer.
  */
 
 #ifndef MANTICORE_EXEC_ARENA_HH
@@ -73,34 +71,39 @@ class Arena
         _offset = (_offset + 7) & ~uint64_t{7};
     }
 
-    /** Materialise the zeroed storage; no further alloc()s. */
+    /** Materialise the zeroed storage; no further alloc()s.  The
+     *  base starts on a cache-line boundary, so align()ed offsets are
+     *  line-aligned in memory and the laned kernels' vector accesses
+     *  to them never split a line. */
     void
     seal()
     {
         MANTICORE_ASSERT(!_sealed, "arena sealed twice");
         _sealed = true;
-        _limbs.assign(_offset, 0);
+        _limbs.assign(_offset + 7, 0);
+        auto addr = reinterpret_cast<uintptr_t>(_limbs.data());
+        _base = (64 - addr % 64) % 64 / sizeof(uint64_t);
     }
 
-    size_t limbs() const { return _limbs.size(); }
-    uint64_t *data() { return _limbs.data(); }
-    const uint64_t *data() const { return _limbs.data(); }
+    size_t limbs() const { return _sealed ? _offset : 0; }
+    uint64_t *data() { return _limbs.data() + _base; }
+    const uint64_t *data() const { return _limbs.data() + _base; }
 
     /** Lane l's limbs of the word allocated at slot. */
     uint64_t *
     at(uint32_t slot, unsigned width, unsigned lane)
     {
         MANTICORE_ASSERT(lane < _lanes, "bad arena lane ", lane);
-        return &_limbs[slot +
-                       static_cast<size_t>(lane) * limbops::nlimbs(width)];
+        return data() + slot +
+               static_cast<size_t>(lane) * limbops::nlimbs(width);
     }
 
     const uint64_t *
     at(uint32_t slot, unsigned width, unsigned lane) const
     {
         MANTICORE_ASSERT(lane < _lanes, "bad arena lane ", lane);
-        return &_limbs[slot +
-                       static_cast<size_t>(lane) * limbops::nlimbs(width)];
+        return data() + slot +
+               static_cast<size_t>(lane) * limbops::nlimbs(width);
     }
 
     /** Materialise one lane's value (cold accessor paths). */
@@ -119,7 +122,8 @@ class Arena
     unsigned _lanes;
     uint64_t _offset = 0;
     bool _sealed = false;
-    std::vector<uint64_t> _limbs;
+    std::vector<uint64_t> _limbs; ///< _offset limbs from _base on
+    size_t _base = 0;             ///< limbs skipped to line-align
 };
 
 } // namespace manticore::exec

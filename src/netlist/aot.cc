@@ -17,6 +17,7 @@
 #include <sys/utsname.h>
 #include <unistd.h>
 
+#include "netlist/tape_evaluator.hh"
 #include "support/hashing.hh"
 #include "support/limbops.hh"
 #include "support/logging.hh"
@@ -780,6 +781,20 @@ emitHeader()
            "\n";
 }
 
+/** One chunk's statements as a function with the given signature
+ *  prefix (return type, linkage and name). */
+void
+emitChunk(std::ostream &os, const EmitSpec &spec, size_t c,
+          const std::string &signature)
+{
+    os << signature << "(u64 *A, const u64 *const *M)\n{\n"
+       << "    (void)A; (void)M;\n";
+    size_t end = std::min(spec.count, (c + 1) * kChunk);
+    for (size_t i = c * kChunk; i < end; ++i)
+        emitStmt(os, spec.instrs[i], *spec.mems, spec.lanes);
+    os << "}\n";
+}
+
 /** The whole tape as one translation unit (chunked into static
  *  functions).  Also the canonical source the cache key hashes,
  *  whether or not the build is split into chunk TUs. */
@@ -790,13 +805,9 @@ emitUnit(const EmitSpec &spec)
     os << emitHeader();
     size_t chunks = chunkCountOf(spec.count);
     for (size_t c = 0; c < chunks; ++c) {
-        os << "static void cycle_chunk" << c
-           << "(u64 *A, const u64 *const *M)\n{\n"
-              "    (void)A; (void)M;\n";
-        size_t end = std::min(spec.count, (c + 1) * kChunk);
-        for (size_t i = c * kChunk; i < end; ++i)
-            emitStmt(os, spec.instrs[i], *spec.mems, spec.lanes);
-        os << "}\n\n";
+        emitChunk(os, spec, c,
+                  "static void cycle_chunk" + std::to_string(c));
+        os << "\n";
     }
     os << "extern \"C\" void " << spec.entry
        << "(u64 *A, const u64 *const *M)\n{\n";
@@ -815,13 +826,9 @@ emitChunkTU(const EmitSpec &spec, size_t c)
 {
     std::ostringstream os;
     os << emitHeader();
-    os << "extern \"C\" void " << spec.entry << "_chunk" << c
-       << "(u64 *A, const u64 *const *M)\n{\n"
-          "    (void)A; (void)M;\n";
-    size_t end = std::min(spec.count, (c + 1) * kChunk);
-    for (size_t i = c * kChunk; i < end; ++i)
-        emitStmt(os, spec.instrs[i], *spec.mems, spec.lanes);
-    os << "}\n";
+    emitChunk(os, spec, c,
+              "extern \"C\" void " + spec.entry + "_chunk" +
+                  std::to_string(c));
     return os.str();
 }
 
@@ -978,408 +985,187 @@ aotHostCpuModel()
     return kModel;
 }
 
-AotEvaluator::AotEvaluator(Netlist netlist, const EvalOptions &options)
-    : CompiledEvaluator(std::move(netlist), options)
+namespace {
+
+/** Exported entry point of process K's object. */
+std::string
+entryName(size_t proc_index)
 {
-    _memTable.reserve(_mems.size());
-    for (const tape::MemState &m : _mems)
-        _memTable.push_back(m.words.data());
-    build(options);
+    return "manticore_aot_cycle_p" + std::to_string(proc_index);
 }
 
-AotEvaluator::~AotEvaluator()
-{
-    if (_handle)
-        dlclose(_handle);
-}
+} // namespace
 
 std::string
-AotEvaluator::emitSource() const
+TapeEvaluator::emitSource(size_t proc_index) const
 {
-    EmitSpec spec{_tape.data(), _tape.size(), &_mems, _padded,
-                  "manticore_aot_cycle"};
-    return emitUnit(spec);
+    MANTICORE_ASSERT(proc_index < _procs.size(), "process ", proc_index,
+                     " out of range");
+    const std::vector<tape::Instr> &tape = _procs[proc_index].tape;
+    return emitUnit({tape.data(), tape.size(), &_mems, _padded,
+                     entryName(proc_index)});
 }
 
 bool
-AotEvaluator::load(const std::string &path)
-{
-    void *handle = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
-    if (!handle)
-        return false;
-    const char *key =
-        static_cast<const char *>(dlsym(handle, "manticore_aot_key"));
-    void *fn = dlsym(handle, "manticore_aot_cycle");
-    if (!key || !fn || _key != key) {
-        dlclose(handle);
-        return false;
-    }
-    _handle = handle;
-    _cycleFn = reinterpret_cast<CycleFn>(fn);
-    _objectPath = path;
-    return true;
-}
-
-void
-AotEvaluator::build(const EvalOptions &options)
-{
-    const AotToolchain &tc = aotToolchain(options.aotCompiler);
-    if (!tc.ok) {
-        MANTICORE_WARN("netlist.aot: ", tc.message,
-                       "; falling back to the interpreted tape");
-        return;
-    }
-
-    const std::vector<std::string> flags = objectFlags(tc, _padded);
-    std::string source = emitSource();
-    _key = objectKey(source, flags, tc);
-
-    std::string dir = aotResolveCacheDir(options);
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        MANTICORE_WARN("netlist.aot: cannot create cache dir ", dir,
-                       " (", ec.message(),
-                       "); falling back to the interpreted tape");
-        return;
-    }
-    std::string stem = dir + "/manticore-aot-" + _key;
-    std::string obj = stem + ".so";
-
-    // Warm path: a cached object whose embedded key matches.  A
-    // truncated / corrupted / stale entry fails load() and is
-    // rebuilt below.
-    if (fs::exists(obj, ec) && load(obj)) {
-        _cacheHit = true;
-        return;
-    }
-    fs::remove(obj, ec);
-
-    const std::string key_line =
-        "\nextern \"C\" const char manticore_aot_key[] = \"" + _key +
-        "\";\n";
-    std::string obj_tmp =
-        obj + ".tmp." + std::to_string(static_cast<long>(getpid()));
-    EmitSpec spec{_tape.data(), _tape.size(), &_mems, _padded,
-                  "manticore_aot_cycle"};
-    const size_t chunks = chunkCountOf(_tape.size());
-
-    if (chunks <= 1) {
-        // One-chunk tape: a single combined compile+link invocation.
-        std::string src = stem + ".cc";
-        if (!writeFileAtomic(src, source + key_line)) {
-            MANTICORE_WARN("netlist.aot: cannot write ", src,
-                           "; falling back to the interpreted tape");
-            return;
-        }
-        ++_compilerRuns;
-        CommandResult res = runCompile(tc.compiler, flags,
-                                       {"-shared", src, "-o", obj_tmp});
-        if (!res.ok()) {
-            fs::remove(obj_tmp, ec);
-            MANTICORE_WARN("netlist.aot: ", tc.compiler,
-                           " failed on the generated source (",
-                           firstLine(res.output),
-                           "); falling back to the interpreted tape");
-            return;
-        }
-    } else {
-        // Cold-start concurrency: every ≤1024-statement chunk is its
-        // own translation unit; the chunk TUs compile through
-        // concurrent subprocess invocations (bounded by aotJobs),
-        // then the driver TU is compiled into the link step.
-        std::vector<std::string> chunk_objs(chunks);
-        std::vector<std::function<void()>> tasks;
-        std::atomic<unsigned> runs{0};
-        std::atomic<bool> failed{false};
-        std::mutex err_mutex;
-        std::string error;
-        for (size_t c = 0; c < chunks; ++c) {
-            std::string csrc =
-                stem + ".chunk" + std::to_string(c) + ".cc";
-            std::string cobj = obj_tmp + "." + std::to_string(c) + ".o";
-            chunk_objs[c] = cobj;
-            std::string csource = emitChunkTU(spec, c);
-            tasks.push_back([csrc, cobj, csource, &flags, &runs,
-                             &failed, &err_mutex, &error,
-                             compiler = tc.compiler] {
-                if (failed.load(std::memory_order_relaxed))
-                    return;
-                if (!writeFileAtomic(csrc, csource)) {
-                    std::lock_guard<std::mutex> lock(err_mutex);
-                    if (error.empty())
-                        error = "cannot write " + csrc;
-                    failed.store(true, std::memory_order_relaxed);
-                    return;
-                }
-                runs.fetch_add(1, std::memory_order_relaxed);
-                CommandResult res = runCompile(
-                    compiler, flags, {"-c", csrc, "-o", cobj});
-                if (!res.ok()) {
-                    std::lock_guard<std::mutex> lock(err_mutex);
-                    if (error.empty())
-                        error = firstLine(res.output);
-                    failed.store(true, std::memory_order_relaxed);
-                }
-            });
-        }
-        runConcurrently(std::move(tasks),
-                        buildJobs(options.aotJobs, chunks));
-        _compilerRuns += runs.load();
-        if (failed.load()) {
-            for (const std::string &o : chunk_objs)
-                fs::remove(o, ec);
-            MANTICORE_WARN("netlist.aot: ", tc.compiler,
-                           " failed on the generated source (", error,
-                           "); falling back to the interpreted tape");
-            return;
-        }
-        std::string dsrc = stem + ".driver.cc";
-        if (!writeFileAtomic(dsrc, emitDriverTU(spec, chunks) +
-                                       key_line)) {
-            for (const std::string &o : chunk_objs)
-                fs::remove(o, ec);
-            MANTICORE_WARN("netlist.aot: cannot write ", dsrc,
-                           "; falling back to the interpreted tape");
-            return;
-        }
-        std::vector<std::string> link{"-shared", dsrc};
-        for (const std::string &o : chunk_objs)
-            link.push_back(o);
-        link.push_back("-o");
-        link.push_back(obj_tmp);
-        ++_compilerRuns;
-        CommandResult res = runCompile(tc.compiler, flags, link);
-        for (const std::string &o : chunk_objs)
-            fs::remove(o, ec);
-        if (!res.ok()) {
-            fs::remove(obj_tmp, ec);
-            MANTICORE_WARN("netlist.aot: ", tc.compiler,
-                           " failed linking the chunk objects (",
-                           firstLine(res.output),
-                           "); falling back to the interpreted tape");
-            return;
-        }
-    }
-
-    fs::rename(obj_tmp, obj, ec);
-    if (ec || !load(obj)) {
-        fs::remove(obj_tmp, ec);
-        MANTICORE_WARN("netlist.aot: cannot load ", obj,
-                       "; falling back to the interpreted tape");
-        return;
-    }
-}
-
-void
-AotEvaluator::evalCycle()
-{
-    if (_cycleFn)
-        _cycleFn(_arena.data(), _memTable.data());
-    else
-        CompiledEvaluator::evalCycle();
-}
-
-// ---------------------------------------------------------------------------
-// AotParallelEvaluator: per-partition compiled objects
-// ---------------------------------------------------------------------------
-
-AotParallelEvaluator::AotParallelEvaluator(Netlist netlist,
-                                           const EvalOptions &options)
-    : ParallelCompiledEvaluator(std::move(netlist), options)
-{
-    // The base constructor has lowered, partitioned and spawned the
-    // worker pool — but the workers are parked on the batch
-    // generation counter until the first run()/step(), so the
-    // construction-time reads below and the fn-pointer installs are
-    // master-owned.
-    const std::vector<tape::MemState> &mems = memStates();
-    _memTable.reserve(mems.size());
-    for (const tape::MemState &m : mems)
-        _memTable.push_back(m.words.data());
-    _parts.resize(numProcesses());
-    buildAll(options);
-}
-
-AotParallelEvaluator::~AotParallelEvaluator()
-{
-    // Workers are parked between batches and the base destructor
-    // makes them exit without touching the tapes again, so nothing
-    // can be inside a compiled cycle function while we unload.
-    for (Part &p : _parts)
-        if (p.handle)
-            dlclose(p.handle);
-}
-
-std::string
-AotParallelEvaluator::emitPartitionSource(size_t proc_index) const
-{
-    const std::vector<tape::Instr> &tape = procTape(proc_index);
-    EmitSpec spec{tape.data(), tape.size(), &memStates(),
-                  paddedLanes(),
-                  "manticore_aot_cycle_p" + std::to_string(proc_index)};
-    return emitUnit(spec);
-}
-
-const std::string &
-AotParallelEvaluator::partitionKey(size_t proc_index) const
-{
-    MANTICORE_ASSERT(proc_index < _parts.size(), "partition ",
-                     proc_index, " out of range");
-    return _parts[proc_index].key;
-}
-
-const std::string &
-AotParallelEvaluator::partitionObject(size_t proc_index) const
-{
-    MANTICORE_ASSERT(proc_index < _parts.size(), "partition ",
-                     proc_index, " out of range");
-    return _parts[proc_index].object;
-}
-
-bool
-AotParallelEvaluator::loadPart(size_t proc_index,
-                               const std::string &path)
+TapeEvaluator::loadAot(size_t proc_index, const std::string &path)
 {
     // RTLD_LOCAL keeps each object's manticore_aot_key (and entry
-    // point) out of the global namespace, so K partition objects
+    // point) out of the global namespace, so K process objects
     // coexist in one process.
     void *handle = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
     if (!handle)
         return false;
+    Proc &proc = _procs[proc_index];
     const char *key =
         static_cast<const char *>(dlsym(handle, "manticore_aot_key"));
-    std::string entry =
-        "manticore_aot_cycle_p" + std::to_string(proc_index);
-    void *fn = dlsym(handle, entry.c_str());
-    if (!key || !fn || _parts[proc_index].key != key) {
+    void *fn = dlsym(handle, entryName(proc_index).c_str());
+    if (!key || !fn || proc.aotKey != key) {
         dlclose(handle);
         return false;
     }
-    _parts[proc_index].handle = handle;
-    _parts[proc_index].fn = reinterpret_cast<CycleFn>(fn);
-    _parts[proc_index].object = path;
-    ++_aotParts;
+    proc.aotHandle = handle;
+    proc.aotFn = reinterpret_cast<CycleFn>(fn);
+    proc.aotObject = path;
+    ++_aotProcs;
     return true;
 }
 
 void
-AotParallelEvaluator::buildAll(const EvalOptions &options)
+TapeEvaluator::buildAot(const EvalOptions &options)
 {
-    const size_t n = _parts.size();
-    if (n == 0)
-        return;
-
+    // Runs before the worker pool exists, so every read and install
+    // below is master-owned.  Any failure warns and leaves the
+    // affected process on the interpreted tape.
+    const char *who = presetName();
     const AotToolchain &tc = aotToolchain(options.aotCompiler);
     if (!tc.ok) {
-        MANTICORE_WARN("netlist.parallel.aot: ", tc.message,
-                       "; falling back to the interpreted tapes");
+        MANTICORE_WARN(who, ": ", tc.message,
+                       "; falling back to the interpreted tape");
         return;
     }
-
-    const std::vector<std::string> flags =
-        objectFlags(tc, paddedLanes());
+    const std::vector<std::string> flags = objectFlags(tc, _padded);
     std::string dir = aotResolveCacheDir(options);
     std::error_code ec;
     fs::create_directories(dir, ec);
     if (ec) {
-        MANTICORE_WARN("netlist.parallel.aot: cannot create cache dir ",
-                       dir, " (", ec.message(),
-                       "); falling back to the interpreted tapes");
+        MANTICORE_WARN(who, ": cannot create cache dir ", dir, " (",
+                       ec.message(),
+                       "); falling back to the interpreted tape");
         return;
     }
 
-    // Pass 1 (master): emit every partition's source, compute its
-    // key (each hashes that partition's own tape slice, so one
-    // partition's corruption rebuilds one object), try the cache.
+    // Pass 1: emit and key every process's object (each key hashes
+    // that process's own source, so one corrupted object rebuilds one
+    // object); cache hits — a cached object whose embedded key
+    // matches — load here.  A truncated / corrupted / stale entry
+    // fails loadAot() and is rebuilt.
     struct Cold
     {
         size_t p;
-        std::string src_text, src, obj, obj_tmp;
+        std::string stem, obj, tmp, source;
+        std::vector<std::string> chunkObjs; ///< chunked build only
+        std::string error;
     };
     std::vector<Cold> cold;
-    for (size_t p = 0; p < n; ++p) {
-        std::string source = emitPartitionSource(p);
-        _parts[p].key = objectKey(source, flags, tc);
-        std::string stem = dir + "/manticore-aot-" + _parts[p].key;
+    for (size_t p = 0; p < _procs.size(); ++p) {
+        std::string source = emitSource(p);
+        _procs[p].aotKey = objectKey(source, flags, tc);
+        std::string stem = dir + "/manticore-aot-" + _procs[p].aotKey;
         std::string obj = stem + ".so";
-        if (fs::exists(obj, ec) && loadPart(p, obj))
+        if (fs::exists(obj, ec) && loadAot(p, obj))
             continue;
         fs::remove(obj, ec);
-        Cold c;
-        c.p = p;
-        c.src_text = source +
-                     "\nextern \"C\" const char manticore_aot_key[] = "
-                     "\"" +
-                     _parts[p].key + "\";\n";
-        c.src = stem + ".cc";
-        c.obj = obj;
-        c.obj_tmp = obj + ".tmp." +
-                    std::to_string(static_cast<long>(getpid())) + "." +
-                    std::to_string(p);
-        cold.push_back(std::move(c));
+        std::string tmp = obj + ".tmp." +
+                          std::to_string(static_cast<long>(getpid())) +
+                          "." + std::to_string(p);
+        cold.push_back({p, stem, obj, tmp, std::move(source), {}, {}});
     }
 
-    // Pass 2: cold builds run the toolchain concurrently — one
-    // subprocess per partition object, bounded by aotJobs.
+    // Pass 2: compile the cold objects through concurrent subprocess
+    // invocations, bounded by aotJobs.  Per-partition objects compile
+    // as one combined TU each (the concurrency is across objects); a
+    // lone object splits into its ≤1024-statement chunk TUs, linked
+    // with a driver TU in pass 3.
     std::atomic<unsigned> runs{0};
-    std::vector<std::string> errors(n);
-    std::vector<uint8_t> built(n, 0);
-    std::vector<std::function<void()>> tasks;
-    for (const Cold &c : cold) {
-        tasks.push_back([&c, &flags, &runs, &errors, &built,
-                         compiler = tc.compiler] {
-            std::error_code tec;
-            if (!writeFileAtomic(c.src, c.src_text)) {
-                errors[c.p] = "cannot write " + c.src;
-                return;
-            }
+    std::mutex err_mutex;
+    auto fail = [&err_mutex](Cold &c, std::string why) {
+        std::lock_guard<std::mutex> lock(err_mutex);
+        if (c.error.empty())
+            c.error = std::move(why);
+    };
+    auto compileTask = [&](Cold &c, std::string src, std::string text,
+                           std::vector<std::string> args) {
+        return [&, src, text, args] {
+            if (!writeFileAtomic(src, text))
+                return fail(c, "cannot write " + src);
             runs.fetch_add(1, std::memory_order_relaxed);
-            CommandResult res = runCompile(
-                compiler, flags, {"-shared", c.src, "-o", c.obj_tmp});
-            if (!res.ok()) {
-                fs::remove(c.obj_tmp, tec);
-                errors[c.p] = firstLine(res.output);
-                return;
-            }
-            fs::rename(c.obj_tmp, c.obj, tec);
-            if (tec) {
-                errors[c.p] = "cannot rename " + c.obj_tmp +
-                              " into the cache (" + tec.message() + ")";
-                fs::remove(c.obj_tmp, tec);
-                return;
-            }
-            built[c.p] = 1;
-        });
-    }
-    runConcurrently(std::move(tasks),
-                    buildJobs(options.aotJobs, cold.size()));
-    _compilerRuns += runs.load();
-
-    // Pass 3 (master): dlopen the freshly built objects; a partition
-    // whose object failed degrades alone — its computeTape stays on
-    // the interpreted tape.
-    for (const Cold &c : cold) {
-        if (built[c.p] && loadPart(c.p, c.obj))
+            CommandResult res = runCompile(tc.compiler, flags, args);
+            if (!res.ok())
+                fail(c, firstLine(res.output));
+        };
+    };
+    std::vector<std::function<void()>> tasks;
+    for (Cold &c : cold) {
+        const std::string key_line =
+            "\nextern \"C\" const char manticore_aot_key[] = \"" +
+            _procs[c.p].aotKey + "\";\n";
+        const std::vector<tape::Instr> &tape = _procs[c.p].tape;
+        const size_t chunks = chunkCountOf(tape.size());
+        if (_procs.size() > 1 || chunks <= 1) {
+            std::string src = c.stem + ".cc";
+            tasks.push_back(compileTask(c, src, c.source + key_line,
+                                        {"-shared", src, "-o", c.tmp}));
             continue;
-        MANTICORE_WARN(
-            "netlist.parallel.aot: partition ", c.p, ": ",
-            errors[c.p].empty()
-                ? std::string("object failed to load/verify")
-                : errors[c.p],
-            "; falling back to the interpreted tape");
+        }
+        EmitSpec spec{tape.data(), tape.size(), &_mems, _padded,
+                      entryName(c.p)};
+        for (size_t k = 0; k < chunks; ++k) {
+            std::string src = c.stem + ".chunk" + std::to_string(k) + ".cc";
+            c.chunkObjs.push_back(c.tmp + "." + std::to_string(k) + ".o");
+            tasks.push_back(compileTask(c, src, emitChunkTU(spec, k),
+                                        {"-c", src, "-o", c.chunkObjs[k]}));
+        }
+        // The driver TU rides along as the link's source (pass 3).
+        c.source = emitDriverTU(spec, chunks) + key_line;
     }
-    _usingAot = _aotParts == n;
-}
+    const unsigned jobs = buildJobs(options.aotJobs, tasks.size());
+    runConcurrently(std::move(tasks), jobs);
 
-void
-AotParallelEvaluator::computeTape(size_t proc_index)
-{
-    const Part &part = _parts[proc_index];
-    if (part.fn)
-        part.fn(arenaData(), _memTable.data());
-    else
-        ParallelCompiledEvaluator::computeTape(proc_index);
+    // Pass 3 (master): link chunked builds, publish each object into
+    // the cache and load it; a failed object degrades its process
+    // alone.
+    for (Cold &c : cold) {
+        if (!c.chunkObjs.empty() && c.error.empty()) {
+            std::string dsrc = c.stem + ".driver.cc";
+            std::vector<std::string> link{"-shared", dsrc};
+            link.insert(link.end(), c.chunkObjs.begin(), c.chunkObjs.end());
+            link.insert(link.end(), {"-o", c.tmp});
+            if (!writeFileAtomic(dsrc, c.source)) {
+                c.error = "cannot write " + dsrc;
+            } else {
+                ++_compilerRuns;
+                CommandResult res = runCompile(tc.compiler, flags, link);
+                if (!res.ok())
+                    c.error = firstLine(res.output);
+            }
+        }
+        for (const std::string &o : c.chunkObjs)
+            fs::remove(o, ec);
+        if (c.error.empty()) {
+            fs::rename(c.tmp, c.obj, ec);
+            if (ec)
+                c.error = "cannot rename " + c.tmp + " into the cache (" +
+                          ec.message() + ")";
+            else if (!loadAot(c.p, c.obj))
+                c.error = "cannot load " + c.obj;
+        }
+        if (c.error.empty())
+            continue;
+        fs::remove(c.tmp, ec);
+        MANTICORE_WARN(who, ": process ", c.p, ": ", tc.compiler, ": ",
+                       c.error, "; falling back to the interpreted tape");
+    }
+    _compilerRuns += runs.load();
 }
 
 } // namespace manticore::netlist

@@ -10,14 +10,13 @@
  *    Node graph directly and allocates a fresh BitVector per node per
  *    cycle.
  *
- *  - CompiledEvaluator (compiled_evaluator.hh): the netlist lowered
- *    once to a flat op tape over a preallocated limb arena — zero
- *    allocations and no Node/string access in the hot loop.
- *
- * A third engine, ParallelCompiledEvaluator (parallel_evaluator.hh),
- * partitions the netlist and evaluates one tape per partition on a
- * persistent worker pool with the paper's two-barrier Vcycle
- * structure (§6.1).
+ *  - TapeEvaluator (tape_evaluator.hh): the netlist lowered once to
+ *    flat op tapes over a preallocated limb arena — zero allocations
+ *    and no Node/string access in the hot loop — evaluated with the
+ *    paper's two-barrier Vcycle (§6.1).  A partition count (one
+ *    process, or up to numThreads on a worker pool) and an executor
+ *    (interpreted tape or AOT-compiled objects, aot.hh) are its two
+ *    knobs; the compiled registry names are presets of them.
  *
  * makeEvaluator() picks an engine at runtime so harnesses can compare
  * them (see src/netlist/README.md).
@@ -180,13 +179,14 @@ class EvaluatorBase
                                  const std::string &name);
 };
 
-/** Which evaluator engine makeEvaluator() should build. */
+/** Which evaluator engine makeEvaluator() should build: the
+ *  reference Evaluator or a TapeEvaluator preset. */
 enum class EvalMode
 {
     Reference, ///< graph-walking Evaluator (allocating, obviously correct)
-    Compiled,  ///< tape/arena CompiledEvaluator (zero-allocation)
-    Parallel,  ///< partition-parallel tapes on a worker pool (§6.1)
-    Aot,       ///< tape AOT-compiled to a dlopen'd cycle function (aot.hh)
+    Compiled,  ///< one process, interpreted tape (zero-allocation)
+    Parallel,  ///< up to numThreads processes on a worker pool (§6.1)
+    Aot,       ///< one process, AOT-compiled cycle function (aot.hh)
 };
 
 const char *evalModeName(EvalMode mode);
@@ -207,28 +207,28 @@ enum class WaitPolicy
     Block,
 };
 
-/** Engine options; the compiled engines consult lanes, only
- *  EvalMode::Parallel consults the rest. */
+/** Engine options; the TapeEvaluator presets consult lanes and the
+ *  AOT fields, only EvalMode::Parallel consults the partitioning and
+ *  rendezvous fields. */
 struct EvalOptions
 {
     /// Worker-pool size (and partition-count bound); 0 means
-    /// std::thread::hardware_concurrency().
+    /// std::thread::hardware_concurrency().  EvalMode::Parallel only.
     unsigned numThreads = 0;
     /// Partition merge strategy (§6.1 / Fig. 9): the paper's
     /// communication-aware Balanced heuristic or the LPT baseline.
     MergeAlgo mergeAlgo = MergeAlgo::Balanced;
     /// Ensemble width: advance N decoupled simulations per step —
-    /// one tape dispatch (and, for Parallel, one two-barrier
+    /// one tape dispatch (and, with a worker pool, one two-barrier
     /// rendezvous) amortised over N lanes.  Compiled engines only;
     /// EvalMode::Reference rejects lanes != 1.
     unsigned lanes = 1;
     /// Rendezvous wait policy (EvalMode::Parallel only).
     WaitPolicy waitPolicy = WaitPolicy::Spin;
-    /// EvalMode::Parallel only: evaluate each partition's tape
-    /// through a per-partition AOT-compiled object (the
-    /// "netlist.parallel.aot" registry variant).  The rendezvous
-    /// protocol is untouched; only the compute phase's executor
-    /// changes (see src/netlist/aot.hh).
+    /// Evaluate every process's tape through its own AOT-compiled
+    /// object, at any partition count (EvalMode::Aot implies it;
+    /// with EvalMode::Parallel this is "netlist.parallel.aot").  Only
+    /// the compute phase's executor changes (see src/netlist/aot.hh).
     bool aot = false;
     /// AOT modes: object-cache directory override.  Empty means
     /// $MANTICORE_AOT_CACHE, then a per-user directory under

@@ -1,14 +1,14 @@
 /**
  * @file
- * The flat op tape shared by both compiled netlist engines.
+ * The flat op tape of the compiled netlist engine (TapeEvaluator).
  *
  * A tape is an array of POD instructions, one per combinational node,
  * whose operands are limb offsets into a single uint64_t arena (see
- * arena.hh).  The serial CompiledEvaluator lowers the whole netlist
- * into one tape; the ParallelCompiledEvaluator lowers one tape per
- * partition, all addressing disjoint regions of one shared arena.
- * Lowering (`lower`) and execution (`run`) live here so the two
- * engines cannot drift apart semantically.
+ * arena.hh).  TapeEvaluator lowers one tape per process (the whole
+ * netlist when it runs as one process), all addressing disjoint
+ * regions of one shared arena.  Lowering (`lower`), execution (`run`)
+ * and the side effects live here; the AOT executor (aot.hh) emits
+ * code pinned to `run`'s semantics.
  *
  * Nodes of width <= 64 use specialised single-limb opcodes (no loops,
  * no function calls); wider nodes run the span kernels from
@@ -100,10 +100,8 @@ std::vector<MemState> buildMemStates(const Netlist &netlist,
                                      unsigned lanes = 1);
 
 /** Lower one combinational node to a tape instruction.  The caller
- *  resolves operand slots (dst, a, b, c) — that is the only part
- *  that differs between the serial arena layout and the parallel
- *  per-partition layout.  `id` must not be a source node
- *  (Const/Input/RegRead). */
+ *  resolves operand slots (dst, a, b, c) into its arena layout.
+ *  `id` must not be a source node (Const/Input/RegRead). */
 Instr lower(const Netlist &netlist, NodeId id, uint32_t dst, uint32_t a,
             uint32_t b, uint32_t c, const std::vector<MemState> &mems);
 
@@ -121,26 +119,18 @@ void runEnsemble(const Instr *instrs, size_t count, uint64_t *A,
  *  must carry the same lane count.  Inline dispatch so single-lane
  *  engines pay one direct call per batch segment. */
 inline void
-run(const Instr *instrs, size_t count, uint64_t *A,
-    const MemState *mems, unsigned lanes = 1)
-{
-    if (lanes == 1)
-        runScalar(instrs, count, A, mems);
-    else
-        runEnsemble(instrs, count, A, mems, lanes);
-}
-
-inline void
 run(const std::vector<Instr> &tape, uint64_t *A,
     const std::vector<MemState> &mems, unsigned lanes = 1)
 {
-    run(tape.data(), tape.size(), A, mems.data(), lanes);
+    if (lanes == 1)
+        runScalar(tape.data(), tape.size(), A, mems.data());
+    else
+        runEnsemble(tape.data(), tape.size(), A, mems.data(), lanes);
 }
 
-/** The netlist's side effects with node slots pre-resolved, shared by
- *  both compiled engines so the firing order and failure-message
- *  format cannot drift between them (the differential tests compare
- *  both verbatim). */
+/** The netlist's side effects with node slots pre-resolved, so the
+ *  firing order and failure-message format match the reference
+ *  evaluator's (the differential tests compare both verbatim). */
 struct Effects
 {
     struct EffAssert
@@ -214,8 +204,7 @@ struct Effects
     };
 
     /** Fire every active lane in lane order, filling the per-lane
-     *  commit and $finish flags — THE ensemble commit decision,
-     *  shared by both compiled engines so it cannot drift.  Frozen
+     *  commit and $finish flags — THE ensemble commit decision.  Frozen
      *  lanes get commit[l] = 0; a lane whose assert failed before a
      *  later lane's throw keeps that status (its failing cycle never
      *  commits anyway). */

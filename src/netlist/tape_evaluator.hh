@@ -1,50 +1,61 @@
 /**
  * @file
- * Partition-parallel compiled tape evaluator (§6.1 of the paper,
- * carried to host threads): the netlist is split into balanced
- * processes by netlist/partition.hh, each process is lowered to its
- * own flat op tape over a private limb region, and a persistent
- * worker pool evaluates all tapes every cycle with the paper's
- * two-barrier Vcycle structure:
+ * The compiled netlist engine: the netlist lowered once to flat op
+ * tapes over a preallocated limb arena, evaluated with the paper's
+ * static bulk-synchronous Vcycle (§6.1, carried to host threads).
+ * One class serves every compiled registry name; each name is a
+ * preset of two orthogonal knobs:
+ *
+ *   | registry name        | processes          | executor |
+ *   |----------------------|--------------------|----------|
+ *   | netlist.compiled     | 1                  | tape     |
+ *   | netlist.parallel     | up to numThreads   | tape     |
+ *   | netlist.aot          | 1                  | AOT      |
+ *   | netlist.parallel.aot | up to numThreads   | AOT      |
+ *
+ * The arena (exec/arena.hh) is split into a shared source region
+ * (constants, inputs), a shared register file grouped by owning
+ * process and cache-line aligned, and per-process private regions
+ * holding each process's node slots plus staged copies of the
+ * register-file operands its commits read.  Every Vcycle is
  *
  *   compute phase   every process runs its tape, reading the shared
  *                   register file / inputs / constants / memories and
- *                   writing only its private region; it then stages
- *                   copies of any RegRead-sourced commit operands.
- *   barrier 1       all processes computed; the master (calling)
- *                   thread fires side effects in netlist order and
- *                   decides which lanes commit.
+ *                   writing only its private region, then stages its
+ *                   RegRead-sourced commit operands.
+ *   barrier 1       the master (calling) thread fires side effects
+ *                   in netlist order and decides which lanes commit.
  *   commit phase    each process commits the registers and memory
- *                   writes it owns into the shared register file /
- *                   memory images (the cross-process "SENDs").
+ *                   writes it owns (the cross-process "SENDs").
  *   barrier 2       the Vcycle is complete.
  *
- * Everything lives in ONE ensemble arena (arena.hh) split into a
- * shared source region (constants, inputs, the register file grouped
- * by owner and cache-line aligned) and per-process private regions,
- * so tape instructions address any operand by global limb offset and
- * the compute phase is race-free by construction: private regions are
- * written only by their owner, shared slots only between barriers by
- * the unique owner of each register / memory.
+ * With more than one process, netlist/partition.hh splits the netlist
+ * into balanced processes and a persistent worker pool runs processes
+ * 1..N-1 while the master runs process 0; the two barriers are
+ * atomic counters honouring EvalOptions::waitPolicy.  With one
+ * process (the single-process presets, or a design that partitions
+ * into one process) the engine lowers the whole netlist directly,
+ * without the partitioner, and every Vcycle runs on the caller with
+ * no pool, atomics or barriers — the same master loop, minus the
+ * rendezvous.
+ *
+ * The executor is per process: the interpreted tape (tape.hh), or,
+ * with EvalOptions::aot, a dlopen'd straight-line cycle function
+ * emitted from that process's tape (aot.hh).  Effects, stage copies,
+ * commits and lane bookkeeping are shared by both executors, so an
+ * executor swap cannot drift semantically.
  *
  * With EvalOptions::lanes == N the arena holds an N-lane ensemble —
- * N decoupled simulations advanced by the SAME two-barrier Vcycle,
- * so the rendezvous cost per simulated cycle drops by a factor of N.
- * Each lane carries its own status / cycle / failure message /
- * display transcript; a lane that finishes or fails an assertion is
- * frozen (the master clears its commit flag) while the remaining
- * lanes keep running.  EvalOptions::waitPolicy selects how the
- * rendezvous waits: Spin (lowest latency) or Block (condition
- * variable — idle partitions release their core on oversubscribed
- * hosts).
- *
- * The engine is cycle-exact with the reference Evaluator per lane
- * (including side-effect ordering and pre-commit snapshot semantics)
- * and deterministic across runs, thread counts and wait policies.
+ * N decoupled simulations advanced by the same Vcycle, each with its
+ * own stimulus, status, cycle count, failure message and display
+ * transcript; a lane that finishes or fails an assertion is frozen
+ * while the others keep running.  The engine is cycle-exact with the
+ * reference Evaluator per lane and deterministic across thread
+ * counts, wait policies and executors.
  */
 
-#ifndef MANTICORE_NETLIST_PARALLEL_EVALUATOR_HH
-#define MANTICORE_NETLIST_PARALLEL_EVALUATOR_HH
+#ifndef MANTICORE_NETLIST_TAPE_EVALUATOR_HH
+#define MANTICORE_NETLIST_TAPE_EVALUATOR_HH
 
 #include <atomic>
 #include <condition_variable>
@@ -54,8 +65,7 @@
 #include <thread>
 #include <vector>
 
-#include "exec/padding.hh"
-#include "netlist/arena.hh"
+#include "exec/arena.hh"
 #include "netlist/evaluator.hh"
 #include "netlist/netlist.hh"
 #include "netlist/partition.hh"
@@ -63,32 +73,31 @@
 
 namespace manticore::netlist {
 
-class ParallelCompiledEvaluator : public EvaluatorBase
+class TapeEvaluator : public EvaluatorBase
 {
   public:
-    /** Keeps its own copy of the netlist (cold data only).  options
-     *  bounds the worker-pool size (0 = hardware concurrency), picks
-     *  the merge strategy, the ensemble width and the rendezvous
-     *  wait policy. */
-    explicit ParallelCompiledEvaluator(Netlist netlist,
-                                       const EvalOptions &options = {});
-    ~ParallelCompiledEvaluator() override;
+    /** Keeps its own copy of the netlist (cold data only).  `mode`
+     *  picks the preset: Compiled and Aot run one process, Parallel
+     *  partitions into at most options.numThreads processes (0 =
+     *  hardware concurrency); Aot or options.aot selects the AOT
+     *  executor.  Direct construction degrades gracefully when the
+     *  AOT toolchain fails (see aot.hh); makeEvaluator is strict. */
+    explicit TapeEvaluator(Netlist netlist, const EvalOptions &options = {},
+                           EvalMode mode = EvalMode::Compiled);
+    ~TapeEvaluator() override;
 
-    ParallelCompiledEvaluator(const ParallelCompiledEvaluator &) = delete;
-    ParallelCompiledEvaluator &
-    operator=(const ParallelCompiledEvaluator &) = delete;
+    TapeEvaluator(const TapeEvaluator &) = delete;
+    TapeEvaluator &operator=(const TapeEvaluator &) = delete;
 
     void setInput(const std::string &name, const BitVector &value) override;
     void driveInput(NodeId input, const BitVector &value) override;
     SimStatus step() override;
-    /** Batched stepping: the whole batch runs as ONE worker-pool
-     *  command, so the pool pays one wake-up rendezvous per batch and
-     *  one (not two) generation signal per cycle — workers roll from
-     *  the commit of cycle k straight into the compute of cycle k+1
-     *  (see the batch protocol notes above workerLoop).  Cycle-exact
-     *  with a step() loop, including side-effect order and the
-     *  no-commit-after-failed-assert rule; an ensemble batch runs
-     *  until every lane is terminal or the batch ends. */
+    /** Batched stepping.  With a worker pool the whole batch is ONE
+     *  pool command: one wake-up rendezvous per batch and one
+     *  generation signal per cycle (see the batch protocol notes
+     *  above workerLoop).  Cycle-exact with a step() loop; an
+     *  ensemble batch runs until every lane is terminal or the batch
+     *  ends. */
     SimStatus run(uint64_t max_cycles) override;
 
     /** Completed cycles of the most-advanced lane. */
@@ -124,25 +133,58 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     bool snapshotSupported() const override { return true; }
     /** Recount active lanes and recompute the engine-level cycle.
      *  Safe from the master thread: workers are parked between
-     *  step()/run() calls, so the arena and lane state are
-     *  master-owned here. */
+     *  step()/run() calls. */
     void snapshotRestored() override;
+
+    /** The registry name of this engine's preset. */
+    const char *presetName() const;
+    /** Built as a partition-parallel preset (netlist.parallel*). */
+    bool partitioned() const { return _partitioned; }
+    /** Built with the AOT executor requested (netlist.*aot). */
+    bool aotRequested() const { return _aot; }
 
     /** Introspection for tests and benches. */
     size_t numProcesses() const { return _procs.size(); }
+    /** Resolved partition-count bound (1 on the single-process
+     *  presets). */
     unsigned numThreads() const { return _numThreads; }
-    /** Threads this evaluator actually OWNS (spawned pool workers —
-     *  the master runs process 0 inline, so this is numThreads()-1,
-     *  and 0 when numThreads == 1).  The multi-tenant service relies
-     *  on the zero-owned-threads mode: with EvalOptions::numThreads
-     *  = 1 every cycle executes entirely on the calling thread, i.e.
-     *  on whatever scheduler worker borrowed the session (see
-     *  src/service/scheduler.hh). */
+    /** Threads this evaluator OWNS: spawned pool workers, one per
+     *  process beyond the first (the master runs process 0 inline).
+     *  Zero whenever the design runs as one process, i.e. every
+     *  cycle executes on the calling thread — the mode the
+     *  multi-tenant service relies on (src/service/scheduler.hh). */
     size_t ownedThreads() const { return _pool.size(); }
-    WaitPolicy waitPolicy() const { return _waitPolicy; }
+    /** The partitioner's statistics (zero but mergedProcesses on the
+     *  single-process path, which skips the partitioner). */
     const NetlistPartitionStats &partitionStats() const { return _stats; }
     size_t tapeLength() const; ///< total instructions across processes
     size_t arenaLimbs() const { return _arena.limbs(); }
+
+    // AOT executor state (all false / zero / empty on the tape
+    // executor or after a fallback).
+    /** True when EVERY process dispatches its compiled object. */
+    bool usingAot() const
+    {
+        return !_procs.empty() && _aotProcs == _procs.size();
+    }
+    /** Processes with a compiled cycle function installed. */
+    unsigned aotPartitions() const { return _aotProcs; }
+    /** Compiler invocations this construction performed: 0 on a
+     *  full cache hit or fallback.  A lone object compiles one
+     *  invocation per ≤1024-statement chunk TU plus the link (one
+     *  combined invocation for a one-chunk tape); per-partition
+     *  objects compile one invocation each. */
+    unsigned compilerInvocations() const { return _compilerRuns; }
+    /** True when every object was loaded from the on-disk cache
+     *  without invoking the compiler. */
+    bool cacheHit() const { return usingAot() && _compilerRuns == 0; }
+    /** Cache key (16 hex digits) of one process's object. */
+    const std::string &cacheKey(size_t proc_index = 0) const;
+    /** Path of one process's cached object ("" on fallback). */
+    const std::string &objectPath(size_t proc_index = 0) const;
+    /** The generated C++ for one process's tape (without the trailing
+     *  key definition), at this evaluator's padded lane width. */
+    std::string emitSource(size_t proc_index = 0) const;
 
   protected:
     const Netlist &snapshotNetlist() const override { return _netlist; }
@@ -155,35 +197,12 @@ class ParallelCompiledEvaluator : public EvaluatorBase
                          std::string failure,
                          std::vector<std::string> log) override;
 
-    /** Evaluate one process's combinational tape for one cycle
-     *  (every _padded lane) — the ONLY hot-loop hook a subclass may
-     *  replace, the partition-parallel analogue of
-     *  CompiledEvaluator::evalCycle().  The default runs the
-     *  interpreted tape; AotParallelEvaluator (aot.hh) dispatches a
-     *  per-partition dlopen'd cycle function.  Called concurrently
-     *  from the worker pool (and from the master for process 0), so
-     *  an override must only read shared state and write the
-     *  process's private arena region — exactly what the emitted
-     *  tape code does.  Stage copies, commits, effects and the
-     *  two-barrier rendezvous stay in this class, so an executor
-     *  swap cannot drift semantically or break the protocol. */
-    virtual void computeTape(size_t proc_index);
-
-    // Read-only introspection for the AOT subclass's per-partition
-    // codegen (workers are parked between step()/run() calls, so
-    // construction-time reads are master-owned).
-    const std::vector<tape::Instr> &procTape(size_t p) const
-    {
-        return _procs[p].tape;
-    }
-    const std::vector<tape::MemState> &memStates() const { return _mems; }
-    uint64_t *arenaData() { return _arena.data(); }
-    unsigned paddedLanes() const { return _padded; }
-
   private:
+    using CycleFn = void (*)(uint64_t *, const uint64_t *const *);
+
     /** Pre-barrier copy of a shared (RegRead) commit operand into the
      *  process's private staging, so the commit phase never reads a
-     *  slot another process may be committing.  Both blocks are
+     *  slot another commit may be overwriting.  Both blocks are
      *  lane-strided with the same stride, so one copy of `limbs`
      *  (pre-multiplied: per-lane limb count x lanes) moves every
      *  lane. */
@@ -206,21 +225,40 @@ class ParallelCompiledEvaluator : public EvaluatorBase
         uint32_t addrStride;         ///< addr operand's lane stride
     };
 
-    /** One partition process, fully lowered. */
+    /** One process, fully lowered, with its executor. */
     struct Proc
     {
         std::vector<tape::Instr> tape;
         std::vector<StageCopy> stages;
         std::vector<RegCommit> regCommits;
         std::vector<MemCommit> memCommits;
+        CycleFn aotFn = nullptr; ///< null: the interpreted tape
+        void *aotHandle = nullptr;
+        std::string aotKey, aotObject;
     };
 
-    void compile(MergeAlgo algo);
+    void compile(std::vector<NetlistProcess> processes);
+    /** Emit, key, cache, compile, load and fall back per object —
+     *  the AOT executor's one build routine (aot.cc). */
+    void buildAot(const EvalOptions &options);
+    /** dlopen one process's object, verify its embedded key, install
+     *  its entry point (aot.cc). */
+    bool loadAot(size_t proc_index, const std::string &path);
+
     void computeProc(size_t proc_index);
     void commitProc(const Proc &proc);
+    void commitScalar(const Proc &proc); ///< commitProc at one lane
     void workerLoop(size_t proc_index);
-    SimStatus runBatch(uint64_t max_cycles);
-    SimStatus runBatchScalar(uint64_t max_cycles); ///< 1-lane fast path
+    /** The master loop, one per lane shape. */
+    SimStatus runScalar(uint64_t max_cycles);
+    SimStatus runLaned(uint64_t max_cycles);
+    /** Master-side rendezvous steps, called only with a worker pool:
+     *  start a batch, barrier 1, publish the commit decision (and
+     *  whether the batch goes on), barrier 2. */
+    void startBatch();
+    void awaitCompute();
+    void publishCommit(bool more);
+    void awaitCommit();
     void recountActive();
 
     // Rendezvous waits honouring the configured WaitPolicy: Spin
@@ -280,6 +318,8 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     void wakeBlocked() const;
 
     Netlist _netlist; ///< cold copy for name/width lookups only
+    bool _partitioned;
+    bool _aot;
 
     // Requested vs padded ensemble width: the arena, memory images
     // and tape execution run _padded lanes (see exec/padding.hh);
@@ -287,24 +327,29 @@ class ParallelCompiledEvaluator : public EvaluatorBase
     // padded lanes stay frozen at init and invisible.
     unsigned _lanes;
     unsigned _padded;
-    Arena _arena;
+    exec::Arena _arena;
     std::vector<uint32_t> _sourceSlot; ///< node id -> slot (Const/Input)
     std::vector<uint32_t> _regSlot;    ///< reg id -> register-file slot
     std::vector<tape::MemState> _mems;
+    /// Per-memory word-array base pointers (stable after
+    /// construction), passed to every compiled cycle function.
+    std::vector<const uint64_t *> _memTable;
     std::vector<Proc> _procs;
     tape::Effects _effects;
     NetlistPartitionStats _stats;
     unsigned _numThreads = 1;
     WaitPolicy _waitPolicy = WaitPolicy::Spin;
+    unsigned _aotProcs = 0;
+    unsigned _compilerRuns = 0;
 
-    // Two-barrier worker-pool rendezvous.  The master participates by
-    // running process 0 inline; workers run processes 1..N-1.  All
-    // cross-thread data movement is ordered through the release/
-    // acquire chains on these counters.  _computeGen starts a batch
-    // (workers park on it between run()/step() calls); within a batch
-    // only _commitGen advances per cycle, and the done-counters count
-    // monotonically against master-side targets so no per-cycle reset
-    // is needed.
+    // Two-barrier worker-pool rendezvous (pool present only).  The
+    // master participates by running process 0 inline; workers run
+    // processes 1..N-1.  All cross-thread data movement is ordered
+    // through the release/acquire chains on these counters.
+    // _computeGen starts a batch (workers park on it between
+    // run()/step() calls); within a batch only _commitGen advances per
+    // cycle, and the done-counters count monotonically against
+    // master-side targets so no per-cycle reset is needed.
     std::atomic<uint64_t> _computeGen{0};
     std::atomic<uint64_t> _commitGen{0};
     std::atomic<uint64_t> _computeDone{0};
@@ -331,4 +376,4 @@ class ParallelCompiledEvaluator : public EvaluatorBase
 
 } // namespace manticore::netlist
 
-#endif // MANTICORE_NETLIST_PARALLEL_EVALUATOR_HH
+#endif // MANTICORE_NETLIST_TAPE_EVALUATOR_HH

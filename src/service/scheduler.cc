@@ -132,8 +132,8 @@ Scheduler::createSession(const std::string &engine_name,
     }
     // The ownership inversion: session engines never spawn their own
     // worker pool — they execute on whichever scheduler worker holds
-    // the session's claim (numThreads=1 keeps netlist.parallel's
-    // owned pool empty, see ParallelCompiledEvaluator::ownedThreads).
+    // the session's claim (numThreads=1 runs netlist.parallel as one
+    // process with no owned pool, see TapeEvaluator::ownedThreads).
     options.lanes = lanes;
     options.eval.lanes = lanes;
     options.eval.numThreads = 1;

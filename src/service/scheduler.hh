@@ -15,9 +15,10 @@
  *  - ONE pool of `numWorkers` threads is created up front and never
  *    grows.  Session engines are created with their thread budget
  *    clamped to zero owned threads (EvalOptions::numThreads = 1, so
- *    netlist.parallel spawns an empty pool — see
- *    ParallelCompiledEvaluator::ownedThreads()); every engine
- *    executes on whichever scheduler worker picks its session up.
+ *    netlist.parallel runs as one process with no pool and no
+ *    partitioner at admission — see TapeEvaluator::ownedThreads());
+ *    every engine executes on whichever scheduler worker picks its
+ *    session up.
  *
  *  - Work is TIME-SLICED: a session's pending `run` advances in
  *    quanta of at most `quantumCycles` batched step(n) cycles, after

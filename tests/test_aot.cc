@@ -20,17 +20,17 @@
 #include "engine/registry.hh"
 #include "netlist/aot.hh"
 #include "netlist/builder.hh"
-#include "netlist/compiled_evaluator.hh"
+#include "netlist/tape_evaluator.hh"
 #include "random_circuit.hh"
 
 using namespace manticore;
-using netlist::AotEvaluator;
-using netlist::CompiledEvaluator;
+using netlist::EvalMode;
 using netlist::EvalOptions;
 using netlist::MemId;
 using netlist::Netlist;
 using netlist::RegId;
 using netlist::SimStatus;
+using netlist::TapeEvaluator;
 using manticore::testing::RandomCircuit;
 using manticore::testing::randomValue;
 
@@ -81,7 +81,7 @@ cachedDesign()
 /** Step `a` (the trusted interpreted tape) and `b` (the subject) in
  *  lockstep, asserting identical architectural state every cycle. */
 void
-runLockstep(const Netlist &nl, CompiledEvaluator &a, CompiledEvaluator &b,
+runLockstep(const Netlist &nl, TapeEvaluator &a, TapeEvaluator &b,
             const std::vector<unsigned> &input_widths, uint64_t seed,
             unsigned cycles)
 {
@@ -126,8 +126,8 @@ TEST(AotEvaluator, RandomizedDifferentialAgainstTheInterpretedTape)
         RandomCircuit gen(seed * 0x9e3779b9ull);
         Netlist nl = gen.build();
         SCOPED_TRACE("seed " + std::to_string(seed));
-        CompiledEvaluator tape(nl);
-        AotEvaluator aot(nl, options);
+        TapeEvaluator tape(nl);
+        TapeEvaluator aot(nl, options, EvalMode::Aot);
         ASSERT_TRUE(aot.usingAot()) << "fell back to the interpreter";
         runLockstep(nl, tape, aot, gen.inputWidths(), seed, 48);
     }
@@ -140,12 +140,12 @@ TEST(AotEvaluator, SecondConstructionHitsTheCache)
     EvalOptions options = aotOptions(freshCacheDir("hit"));
     Netlist nl = cachedDesign();
 
-    AotEvaluator cold(nl, options);
+    TapeEvaluator cold(nl, options, EvalMode::Aot);
     ASSERT_TRUE(cold.usingAot());
     EXPECT_FALSE(cold.cacheHit());
     EXPECT_GE(cold.compilerInvocations(), 1u);
 
-    AotEvaluator warm(nl, options);
+    TapeEvaluator warm(nl, options, EvalMode::Aot);
     ASSERT_TRUE(warm.usingAot());
     EXPECT_TRUE(warm.cacheHit());
     EXPECT_EQ(warm.compilerInvocations(), 0u);
@@ -153,7 +153,7 @@ TEST(AotEvaluator, SecondConstructionHitsTheCache)
     EXPECT_EQ(warm.objectPath(), cold.objectPath());
 
     // The cached object still computes the right thing.
-    CompiledEvaluator tape(nl);
+    TapeEvaluator tape(nl);
     runLockstep(nl, tape, warm, {}, 7, 32);
 }
 
@@ -166,7 +166,7 @@ TEST(AotEvaluator, CorruptedCacheEntryIsRebuilt)
 
     std::string object_path;
     {
-        AotEvaluator cold(nl, options);
+        TapeEvaluator cold(nl, options, EvalMode::Aot);
         ASSERT_TRUE(cold.usingAot());
         object_path = cold.objectPath();
     }
@@ -178,12 +178,12 @@ TEST(AotEvaluator, CorruptedCacheEntryIsRebuilt)
         std::fputs("not an ELF object", f);
         std::fclose(f);
     }
-    AotEvaluator rebuilt(nl, options);
+    TapeEvaluator rebuilt(nl, options, EvalMode::Aot);
     ASSERT_TRUE(rebuilt.usingAot());
     EXPECT_FALSE(rebuilt.cacheHit());
     EXPECT_GE(rebuilt.compilerInvocations(), 1u);
 
-    CompiledEvaluator tape(nl);
+    TapeEvaluator tape(nl);
     runLockstep(nl, tape, rebuilt, {}, 11, 32);
 }
 
@@ -195,12 +195,12 @@ TEST(AotEvaluator, MissingCompilerFallsBackToTheInterpretedTape)
     options.aotCompiler = "/nonexistent/manticore-bogus-c++";
     Netlist nl = cachedDesign();
 
-    AotEvaluator fallback(nl, options);
+    TapeEvaluator fallback(nl, options, EvalMode::Aot);
     EXPECT_FALSE(fallback.usingAot());
     EXPECT_EQ(fallback.compilerInvocations(), 0u);
     EXPECT_FALSE(fallback.cacheHit());
 
-    CompiledEvaluator tape(nl);
+    TapeEvaluator tape(nl);
     runLockstep(nl, tape, fallback, {}, 13, 32);
 }
 
@@ -222,7 +222,8 @@ TEST(AotEvaluator, EmittedSourceIsSelfDescribing)
     Netlist nl = cachedDesign();
     EvalOptions options = aotOptions(freshCacheDir("emit"));
     options.aotCompiler = "/nonexistent/manticore-bogus-c++";
-    AotEvaluator eval(nl, options); // fallback: no compile needed
+    // Fallback: no compile needed.
+    TapeEvaluator eval(nl, options, EvalMode::Aot);
     std::string src = eval.emitSource();
     EXPECT_NE(src.find("manticore_aot_cycle"), std::string::npos);
     EXPECT_NE(src.find("support/limbops.hh"), std::string::npos);

@@ -29,19 +29,18 @@
 #include "engine/registry.hh"
 #include "netlist/aot.hh"
 #include "netlist/builder.hh"
-#include "netlist/compiled_evaluator.hh"
+#include "netlist/tape_evaluator.hh"
 #include "random_circuit.hh"
 
 using namespace manticore;
-using netlist::AotParallelEvaluator;
-using netlist::CompiledEvaluator;
+using netlist::EvalMode;
 using netlist::EvalOptions;
 using netlist::EvaluatorBase;
 using netlist::MemId;
 using netlist::Netlist;
-using netlist::ParallelCompiledEvaluator;
 using netlist::RegId;
 using netlist::SimStatus;
+using netlist::TapeEvaluator;
 using manticore::testing::RandomCircuit;
 using manticore::testing::randomValue;
 
@@ -78,7 +77,7 @@ parallelAotOptions(const std::string &cache_dir, unsigned threads = 3)
 /** Step `a` (the trusted engine) and `b` (the subject) in lockstep
  *  over any EvaluatorBase pair, asserting identical architectural
  *  state every cycle.  A generic twin of test_aot.cc's runLockstep,
- *  which is typed to the serial CompiledEvaluator family. */
+ *  which is typed to TapeEvaluator. */
 void
 runLockstep(const Netlist &nl, EvaluatorBase &a, EvaluatorBase &b,
             const std::vector<unsigned> &input_widths, uint64_t seed,
@@ -242,8 +241,9 @@ TEST(AotParallelEvaluator, DeterministicAcrossThreadAndPartitionCounts)
     Netlist nl = designs::buildMm(64);
     for (unsigned threads : {1u, 2u, 4u}) {
         SCOPED_TRACE("numThreads " + std::to_string(threads));
-        CompiledEvaluator tape(nl);
-        AotParallelEvaluator aot(nl, parallelAotOptions(cache, threads));
+        TapeEvaluator tape(nl);
+        TapeEvaluator aot(nl, parallelAotOptions(cache, threads),
+                          EvalMode::Parallel);
         ASSERT_TRUE(aot.usingAot()) << "fell back to the interpreter";
         EXPECT_EQ(aot.aotPartitions(), aot.numProcesses());
         runLockstep(nl, tape, aot, {}, threads, 80);
@@ -258,23 +258,23 @@ TEST(AotParallelEvaluator, SecondConstructionHitsEveryPartitionObject)
     Netlist nl = designs::buildMm(64);
     EvalOptions options = parallelAotOptions(cache);
 
-    AotParallelEvaluator cold(nl, options);
+    TapeEvaluator cold(nl, options, EvalMode::Parallel);
     ASSERT_TRUE(cold.usingAot());
     EXPECT_FALSE(cold.cacheHit());
     // One combined compile per partition on a cold start.
     EXPECT_EQ(cold.compilerInvocations(), cold.numProcesses());
 
-    AotParallelEvaluator warm(nl, options);
+    TapeEvaluator warm(nl, options, EvalMode::Parallel);
     ASSERT_TRUE(warm.usingAot());
     EXPECT_TRUE(warm.cacheHit());
     EXPECT_EQ(warm.compilerInvocations(), 0u);
     ASSERT_EQ(warm.numProcesses(), cold.numProcesses());
     for (size_t p = 0; p < warm.numProcesses(); ++p) {
-        EXPECT_EQ(warm.partitionKey(p), cold.partitionKey(p));
-        EXPECT_EQ(warm.partitionObject(p), cold.partitionObject(p));
+        EXPECT_EQ(warm.cacheKey(p), cold.cacheKey(p));
+        EXPECT_EQ(warm.objectPath(p), cold.objectPath(p));
     }
 
-    CompiledEvaluator tape(nl);
+    TapeEvaluator tape(nl);
     runLockstep(nl, tape, warm, {}, 7, 48);
 }
 
@@ -289,10 +289,10 @@ TEST(AotParallelEvaluator, CorruptedPartitionObjectRebuildsOnlyItself)
     std::string victim;
     size_t parts = 0;
     {
-        AotParallelEvaluator cold(nl, options);
+        TapeEvaluator cold(nl, options, EvalMode::Parallel);
         ASSERT_TRUE(cold.usingAot());
         parts = cold.numProcesses();
-        victim = cold.partitionObject(parts - 1);
+        victim = cold.objectPath(parts - 1);
     }
     // Per-partition keys hash the partition's own source, so garbage
     // in ONE object must trigger exactly ONE recompile — the embedded
@@ -305,12 +305,12 @@ TEST(AotParallelEvaluator, CorruptedPartitionObjectRebuildsOnlyItself)
         std::fputs("not an ELF object", f);
         std::fclose(f);
     }
-    AotParallelEvaluator rebuilt(nl, options);
+    TapeEvaluator rebuilt(nl, options, EvalMode::Parallel);
     ASSERT_TRUE(rebuilt.usingAot());
     EXPECT_FALSE(rebuilt.cacheHit());
     EXPECT_EQ(rebuilt.compilerInvocations(), 1u);
 
-    CompiledEvaluator tape(nl);
+    TapeEvaluator tape(nl);
     runLockstep(nl, tape, rebuilt, {}, 11, 48);
 }
 
@@ -323,17 +323,17 @@ TEST(AotParallelEvaluator, MissingCompilerFallsBackToTheInterpretedTape)
     EvalOptions options = parallelAotOptions(freshCacheDir("fallback"));
     options.aotCompiler = "/nonexistent/manticore-bogus-c++";
 
-    AotParallelEvaluator fallback(nl, options);
+    TapeEvaluator fallback(nl, options, EvalMode::Parallel);
     EXPECT_FALSE(fallback.usingAot());
     EXPECT_EQ(fallback.aotPartitions(), 0u);
     EXPECT_EQ(fallback.compilerInvocations(), 0u);
     EXPECT_FALSE(fallback.cacheHit());
     for (size_t p = 0; p < fallback.numProcesses(); ++p)
-        EXPECT_TRUE(fallback.partitionObject(p).empty());
+        EXPECT_TRUE(fallback.objectPath(p).empty());
 
     EvalOptions plain;
     plain.numThreads = options.numThreads;
-    ParallelCompiledEvaluator interpreted(nl, plain);
+    TapeEvaluator interpreted(nl, plain, EvalMode::Parallel);
     runLockstep(nl, interpreted, fallback, {}, 13, 48);
 }
 

@@ -3,7 +3,7 @@
  * Differential tests for the compiled tape evaluator: randomized
  * netlists (tests/random_circuit.hh) covering every OpKind, widths
  * 1..200, memories, asserts, displays and $finish, run through both
- * the reference Evaluator and the CompiledEvaluator with identical
+ * the reference Evaluator and the compiled TapeEvaluator with identical
  * input stimulus, asserting identical register / memory / display /
  * status state every cycle.  Plus directed tests for the
  * commit-ordering corner cases the arena layout introduces (register
@@ -15,12 +15,11 @@
 #include <vector>
 
 #include "netlist/builder.hh"
-#include "netlist/compiled_evaluator.hh"
 #include "netlist/evaluator.hh"
+#include "netlist/tape_evaluator.hh"
 #include "random_circuit.hh"
 
 using namespace manticore;
-using netlist::CompiledEvaluator;
 using netlist::Evaluator;
 using netlist::MemId;
 using netlist::Netlist;
@@ -29,6 +28,7 @@ using netlist::NodeId;
 using netlist::OpKind;
 using netlist::RegId;
 using netlist::SimStatus;
+using netlist::TapeEvaluator;
 using manticore::testing::RandomCircuit;
 using manticore::testing::randomValue;
 
@@ -41,7 +41,7 @@ runDifferential(Netlist nl, const std::vector<unsigned> &input_widths,
                 uint64_t seed, unsigned cycles)
 {
     Evaluator ref(nl);
-    CompiledEvaluator tape(nl);
+    TapeEvaluator tape(nl);
     Rng drive(seed ^ 0xd1ffe7e57ull);
 
     for (unsigned c = 0; c < cycles; ++c) {
@@ -102,7 +102,7 @@ TEST(CompiledEvaluator, RegisterSwapUsesPreCommitValues)
     b.next(rb, ra.read());
     Netlist nl = b.build();
 
-    CompiledEvaluator tape(nl);
+    TapeEvaluator tape(nl);
     tape.step();
     EXPECT_EQ(tape.regValue("a").toUint64(), 2u);
     EXPECT_EQ(tape.regValue("b").toUint64(), 1u);
@@ -124,7 +124,7 @@ TEST(CompiledEvaluator, MemWriteSeesPreCommitRegisterData)
     Netlist nl = b.build();
 
     Evaluator ref(nl);
-    CompiledEvaluator tape(nl);
+    TapeEvaluator tape(nl);
     ref.step();
     tape.step();
     EXPECT_EQ(ref.memValue(0, 3).toUint64(), 5u);
@@ -139,7 +139,7 @@ TEST(CompiledEvaluator, SelfNextRegisterIsStable)
     b.next(r, r.read());
     Netlist nl = b.build();
     // Give it a wide nonzero init through the raw netlist interface.
-    CompiledEvaluator tape(nl);
+    TapeEvaluator tape(nl);
     tape.step();
     tape.step();
     EXPECT_EQ(tape.regValue("r"), BitVector(128));
@@ -155,7 +155,7 @@ TEST(CompiledEvaluator, WideArithmeticMatchesBitVector)
     Netlist nl = b.build();
 
     Evaluator ref(nl);
-    CompiledEvaluator tape(nl);
+    TapeEvaluator tape(nl);
     for (int i = 0; i < 16; ++i) {
         ref.step();
         tape.step();

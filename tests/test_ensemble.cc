@@ -425,3 +425,24 @@ TEST(Ensemble, NonEnsembleEnginesRejectLanes)
     EXPECT_DEATH(engine::create("machine", nl, opts),
                  "no ensemble mode");
 }
+
+TEST(Ensemble, LaneAccessorsRejectPaddedLanes)
+{
+    // lanes=3 runs 4 kernel lanes (exec/padding.hh), but the padded
+    // lane exists for no observer: reading or driving lane 3 is a
+    // caller bug, not a silent access to the hidden lane.
+    netlist::Netlist nl = finishAtInputDesign();
+    netlist::NodeId x = nl.findInput("x");
+    netlist::EvalOptions opts;
+    opts.numThreads = 2;
+    opts.lanes = 3;
+    for (netlist::EvalMode mode :
+         {netlist::EvalMode::Compiled, netlist::EvalMode::Parallel}) {
+        SCOPED_TRACE(netlist::evalModeName(mode));
+        auto eval = netlist::makeEvaluator(nl, mode, opts);
+        ASSERT_EQ(eval->lanes(), 3u);
+        EXPECT_DEATH(eval->regValueLane(3, 0), "bad lane 3");
+        EXPECT_DEATH(eval->driveInputLane(3, x, BitVector(16, 1)),
+                     "bad lane 3");
+    }
+}

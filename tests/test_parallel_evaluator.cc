@@ -24,8 +24,8 @@
 
 #include "designs/designs.hh"
 #include "netlist/builder.hh"
-#include "netlist/parallel_evaluator.hh"
 #include "netlist/partition.hh"
+#include "netlist/tape_evaluator.hh"
 #include "random_circuit.hh"
 #include "runtime/waveform.hh"
 
@@ -38,9 +38,9 @@ using netlist::Netlist;
 using netlist::NetlistPartition;
 using netlist::NodeId;
 using netlist::OpKind;
-using netlist::ParallelCompiledEvaluator;
 using netlist::RegId;
 using netlist::SimStatus;
+using netlist::TapeEvaluator;
 using manticore::testing::RandomCircuit;
 using manticore::testing::randomValue;
 
@@ -54,7 +54,7 @@ runDifferential(const Netlist &nl,
                 unsigned cycles, const EvalOptions &options)
 {
     Evaluator ref(nl);
-    ParallelCompiledEvaluator par(nl, options);
+    TapeEvaluator par(nl, options, EvalMode::Parallel);
     Rng drive(seed ^ 0xd1ffe7e57ull);
 
     for (unsigned c = 0; c < cycles; ++c) {
@@ -95,7 +95,7 @@ runDifferential(const Netlist &nl,
 std::string
 sampledVcd(const Netlist &nl, const EvalOptions &options, unsigned cycles)
 {
-    ParallelCompiledEvaluator par(nl, options);
+    TapeEvaluator par(nl, options, EvalMode::Parallel);
     runtime::WaveformRecorder rec(nl);
     for (unsigned c = 0; c < cycles && par.status() == SimStatus::Ok;
          ++c) {
@@ -237,7 +237,8 @@ TEST(ParallelEvaluator, RegisterSwapUsesPreCommitValues)
     auto rb = b.reg("b", 64, 2);
     b.next(ra, rb.read());
     b.next(rb, ra.read());
-    ParallelCompiledEvaluator par(b.build(), {2, MergeAlgo::Balanced});
+    TapeEvaluator par(b.build(), {2, MergeAlgo::Balanced},
+                      EvalMode::Parallel);
     par.step();
     EXPECT_EQ(par.regValue("a").toUint64(), 2u);
     EXPECT_EQ(par.regValue("b").toUint64(), 1u);
@@ -253,7 +254,8 @@ TEST(ParallelEvaluator, MemWriteSeesPreCommitRegisterData)
     b.next(counter, counter.read() + b.lit(8, 1));
     auto mem = b.memory("m", 8, 16);
     mem.write(b.lit(8, 3), counter.read(), b.lit(1, 1));
-    ParallelCompiledEvaluator par(b.build(), {2, MergeAlgo::Balanced});
+    TapeEvaluator par(b.build(), {2, MergeAlgo::Balanced},
+                      EvalMode::Parallel);
     par.step();
     EXPECT_EQ(par.memValue(0, 3).toUint64(), 5u);
     EXPECT_EQ(par.regValue("counter").toUint64(), 6u);
@@ -270,7 +272,8 @@ TEST(ParallelEvaluator, AssertFailureSkipsCommitLikeReference)
         return b.build();
     };
     Evaluator ref(build());
-    ParallelCompiledEvaluator par(build(), {2, MergeAlgo::Balanced});
+    TapeEvaluator par(build(), {2, MergeAlgo::Balanced},
+                      EvalMode::Parallel);
     EXPECT_EQ(ref.run(100), SimStatus::AssertFailed);
     EXPECT_EQ(par.run(100), SimStatus::AssertFailed);
     EXPECT_EQ(ref.cycle(), par.cycle());
@@ -282,27 +285,65 @@ TEST(ParallelEvaluator, ThrowingDisplayCallbackDoesNotStrandWorkers)
 {
     // An exception escaping step() between the two barriers must
     // still complete the commit rendezvous, or the workers stay
-    // parked and the next step()/destructor deadlocks.
-    netlist::CircuitBuilder b("thrower");
-    auto c = b.reg("c", 16);
-    b.next(c, c.read() + b.lit(16, 1));
-    b.display(b.lit(1, 1), "c=%d", {c.read()});
-    ParallelCompiledEvaluator par(b.build(), {3, MergeAlgo::Balanced});
-
-    par.onDisplay = [](const std::string &) {
-        throw std::runtime_error("sink failed");
+    // parked and the next step()/destructor deadlocks.  The
+    // one-register design runs as a single process with no workers
+    // even at numThreads=3; the second adds an independent wide
+    // register whose cone partitions apart, so a worker really is
+    // parked at the rendezvous when the display sink throws.  Both
+    // also run at numThreads=1, pinning the inline path's
+    // throw-and-retry.
+    auto oneRegister = [] {
+        netlist::CircuitBuilder b("thrower");
+        auto c = b.reg("c", 16);
+        b.next(c, c.read() + b.lit(16, 1));
+        b.display(b.lit(1, 1), "c=%d", {c.read()});
+        return b.build();
     };
-    EXPECT_THROW(par.step(), std::runtime_error);
-    EXPECT_EQ(par.status(), SimStatus::Ok);
-    EXPECT_EQ(par.cycle(), 0u); // the failed cycle did not commit
+    auto twoCones = [] {
+        netlist::CircuitBuilder b("thrower2");
+        auto c = b.reg("c", 16);
+        b.next(c, c.read() + b.lit(16, 1));
+        b.display(b.lit(1, 1), "c=%d", {c.read()});
+        auto w = b.reg("w", 256, 3);
+        netlist::Signal v = w.read();
+        for (unsigned i = 0; i < 8; ++i)
+            v = (v * v) ^ (v + b.lit(256, i + 1));
+        b.next(w, v);
+        return b.build();
+    };
+    for (unsigned threads : {1u, 3u}) {
+        for (bool partitions : {false, true}) {
+            SCOPED_TRACE(std::string(partitions ? "two cones"
+                                                : "one register") +
+                         " threads " + std::to_string(threads));
+            TapeEvaluator par(partitions ? twoCones() : oneRegister(),
+                              {threads, MergeAlgo::Balanced},
+                              EvalMode::Parallel);
+            if (threads == 1 || !partitions) {
+                EXPECT_EQ(par.numProcesses(), 1u);
+                EXPECT_EQ(par.ownedThreads(), 0u);
+            } else {
+                EXPECT_GE(par.numProcesses(), 2u);
+                EXPECT_GE(par.ownedThreads(), 1u);
+            }
 
-    par.onDisplay = nullptr;
-    EXPECT_EQ(par.step(), SimStatus::Ok); // retried cleanly
-    EXPECT_EQ(par.cycle(), 1u);
-    EXPECT_EQ(par.regValue("c").toUint64(), 1u);
-    // The aborted attempt rolled its display back: one line, not two.
-    ASSERT_EQ(par.displayLog().size(), 1u);
-    EXPECT_EQ(par.displayLog()[0], "c=0");
+            par.onDisplay = [](const std::string &) {
+                throw std::runtime_error("sink failed");
+            };
+            EXPECT_THROW(par.step(), std::runtime_error);
+            EXPECT_EQ(par.status(), SimStatus::Ok);
+            EXPECT_EQ(par.cycle(), 0u); // the failed cycle did not commit
+
+            par.onDisplay = nullptr;
+            EXPECT_EQ(par.step(), SimStatus::Ok); // retried cleanly
+            EXPECT_EQ(par.cycle(), 1u);
+            EXPECT_EQ(par.regValue("c").toUint64(), 1u);
+            // The aborted attempt rolled its display back: one line,
+            // not two.
+            ASSERT_EQ(par.displayLog().size(), 1u);
+            EXPECT_EQ(par.displayLog()[0], "c=0");
+        }
+    }
 }
 
 TEST(ParallelEvaluator, FactoryBuildsParallelMode)

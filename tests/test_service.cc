@@ -33,7 +33,7 @@
 #include "engine/snapshot.hh"
 #include "engine/snapshot_io.hh"
 #include "netlist/builder.hh"
-#include "netlist/parallel_evaluator.hh"
+#include "netlist/tape_evaluator.hh"
 #include "service/protocol.hh"
 #include "service/session.hh"
 
@@ -454,7 +454,8 @@ TEST(Service, SessionEnginesOwnZeroThreads)
     // that this really means an empty owned pool.
     netlist::EvalOptions one;
     one.numThreads = 1;
-    netlist::ParallelCompiledEvaluator ev(ctr32(1000), one);
+    netlist::TapeEvaluator ev(ctr32(1000), one,
+                             netlist::EvalMode::Parallel);
     EXPECT_EQ(ev.ownedThreads(), 0u);
     EXPECT_EQ(ev.numThreads(), 1u);
 }

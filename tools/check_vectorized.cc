@@ -22,7 +22,7 @@
  *
  * `--aot` proves the SAME property for the laned AOT codegen path
  * (netlist.aot with lanes > 1): it builds a small mixing design's
- * laned cycle objects at widths 4, 8 and 16 through AotEvaluator —
+ * laned cycle objects at widths 4, 8 and 16 through netlist.aot —
  * into a private throwaway cache — disassembles each dlopen'd .so,
  * and fails unless the cycle function's body uses vector registers.
  * A laned object regressing to scalar code would otherwise only show
@@ -48,6 +48,7 @@
 
 #include "netlist/aot.hh"
 #include "netlist/builder.hh"
+#include "netlist/tape_evaluator.hh"
 
 namespace {
 
@@ -191,7 +192,8 @@ checkAotObjects()
         netlist::EvalOptions options;
         options.lanes = width;
         options.aotCacheDir = cache;
-        netlist::AotEvaluator eval(mixingDesign(), options);
+        netlist::TapeEvaluator eval(mixingDesign(), options,
+                                    netlist::EvalMode::Aot);
         if (!eval.usingAot()) {
             std::fprintf(stderr,
                          "check_vectorized --aot: width %u object "

@@ -10,7 +10,7 @@
  * nonzero — the artifact alone reproduces the failure via
  * `replay_runner <artifact>` in a fresh process.
  *
- *   fuzz_differential [--seconds N] [--seed S] [--dir D]
+ *   fuzz_differential [--seconds N] [--seed S] [--dir D] [--aot 1]
  *
  * CI-friendly: --seconds bounds wall-clock (default 10), --seed makes
  * the whole session deterministic, --dir picks the artifact
@@ -111,20 +111,24 @@ main(int argc, char **argv)
         u64Flag(argc, argv, "--max-cycles", 150);
     const std::string dir = strFlag(argc, argv, "--dir", "");
 
-    // Subjects: the fast netlist engines (random circuits have free
-    // inputs, which the ISA-level engines compile away).  netlist.aot
-    // is skipped when no toolchain is present — and by default too:
-    // per-circuit AOT compiles dominate the budget.
-    std::vector<std::string> subjects = {"netlist.compiled",
-                                         "netlist.parallel"};
-    if (u64Flag(argc, argv, "--aot", 0)) {
-        const engine::EngineInfo *aot = engine::find("netlist.aot");
-        if (aot && aot->available)
-            subjects.push_back("netlist.aot");
+    // Subjects: every available netlist-level engine in the registry
+    // but the golden itself (random circuits have free inputs, which
+    // the ISA-level engines compile away), so a new engine cannot opt
+    // out.  The AOT presets only run under --aot: per-circuit AOT
+    // compiles dominate the budget.
+    const bool aot = u64Flag(argc, argv, "--aot", 0) != 0;
+    std::vector<std::string> subjects;
+    for (const engine::EngineInfo &info : engine::list()) {
+        if (!info.netlistLevel ||
+            std::strcmp(info.name, "netlist.reference") == 0)
+            continue;
+        if ((info.caps & engine::cap::kAotCompiled) && !aot)
+            continue;
+        if (info.available)
+            subjects.push_back(info.name);
         else
-            std::fprintf(stderr, "--aot: netlist.aot unavailable (%s)"
-                                 ", skipping\n",
-                         aot ? aot->availabilityNote.c_str() : "?");
+            std::fprintf(stderr, "--aot: %s unavailable (%s), skipping\n",
+                         info.name, info.availabilityNote.c_str());
     }
 
     const auto deadline = std::chrono::steady_clock::now() +
