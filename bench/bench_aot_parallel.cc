@@ -114,8 +114,10 @@ main(int argc, char **argv)
         netlist::Netlist nl = bm.build(horizon * 8);
 
         engine::CreateOptions interp;
+        interp.eval.pinProcesses = true;
         engine::CreateOptions aot;
         aot.eval.aotCacheDir = cache_dir;
+        aot.eval.pinProcesses = true;
         auto make_interp = [&]() {
             return engine::create(par_baseline, nl, interp);
         };

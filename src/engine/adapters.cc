@@ -363,8 +363,14 @@ NetlistEngine::stats() const
     stats.push_back({"tape_length", _tape->tapeLength()});
     stats.push_back({"arena_limbs", _tape->arenaLimbs()});
     if (_tape->partitioned()) {
+        // The cost model's inputs beside its decision: the partition
+        // runs only while straggler_cost + one rendezvous is below
+        // serial_cost (netlist::partitionPays).
+        const netlist::NetlistPartitionStats &part = _tape->partitionStats();
         stats.push_back({"processes", _tape->numProcesses()});
         stats.push_back({"threads", _tape->numThreads()});
+        stats.push_back({"serial_cost", part.serialCost});
+        stats.push_back({"straggler_cost", part.estimatedMaxCost});
     }
     if (_tape->aotRequested()) {
         stats.push_back({"aot_active", _tape->usingAot() ? 1u : 0u});

@@ -3,16 +3,23 @@
  * The named-engine registry: every execution engine in the repository
  * is creatable by registry name —
  *
- *   | name                 | engine                                    |
- *   |----------------------|-------------------------------------------|
- *   | netlist.reference    | graph-walking netlist::Evaluator          |
- *   | netlist.compiled     | netlist::TapeEvaluator: 1 process, tape   |
- *   | netlist.parallel     | TapeEvaluator: numThreads processes, tape |
- *   | netlist.aot          | TapeEvaluator: 1 process, AOT objects     |
- *   | netlist.parallel.aot | TapeEvaluator: numThreads processes, AOT  |
- *   | isa.reference        | instruction-walking isa::Interpreter      |
- *   | isa.tape             | flat-tape isa::TapeInterpreter            |
- *   | machine              | cycle-level machine::Machine              |
+ *   | name                 | engine                                      |
+ *   |----------------------|---------------------------------------------|
+ *   | netlist.reference    | graph-walking netlist::Evaluator            |
+ *   | netlist.compiled     | netlist::TapeEvaluator: 1 process, tape     |
+ *   | netlist.parallel     | TapeEvaluator: cost-model processes, tape   |
+ *   | netlist.aot          | TapeEvaluator: 1 process, AOT objects       |
+ *   | netlist.parallel.aot | TapeEvaluator: cost-model processes, AOT    |
+ *   | isa.reference        | instruction-walking isa::Interpreter        |
+ *   | isa.tape             | flat-tape isa::TapeInterpreter              |
+ *   | machine              | cycle-level machine::Machine                |
+ *
+ * "Cost-model processes": the netlist is partitioned into at most
+ * eval.numThreads processes, and the partition is kept only when its
+ * straggler plus one rendezvous costs less than the whole netlist as
+ * one process (netlist::partitionPays); otherwise the design runs as
+ * one process on the caller.  eval.pinProcesses keeps the partition
+ * regardless.
  *
  * `create(name, netlist)` works for ALL of them: netlist-level
  * engines evaluate the netlist directly; ISA-level engines compile it

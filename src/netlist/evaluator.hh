@@ -14,7 +14,8 @@
  *    flat op tapes over a preallocated limb arena — zero allocations
  *    and no Node/string access in the hot loop — evaluated with the
  *    paper's two-barrier Vcycle (§6.1).  A partition count (one
- *    process, or up to numThreads on a worker pool) and an executor
+ *    process, or up to numThreads on a worker pool when the cost
+ *    model says the partition pays) and an executor
  *    (interpreted tape or AOT-compiled objects, aot.hh) are its two
  *    knobs; the compiled registry names are presets of them.
  *
@@ -185,7 +186,8 @@ enum class EvalMode
 {
     Reference, ///< graph-walking Evaluator (allocating, obviously correct)
     Compiled,  ///< one process, interpreted tape (zero-allocation)
-    Parallel,  ///< up to numThreads processes on a worker pool (§6.1)
+    Parallel,  ///< up to numThreads processes on a worker pool (§6.1),
+               ///< if the cost model keeps the partition
     Aot,       ///< one process, AOT-compiled cycle function (aot.hh)
 };
 
@@ -212,12 +214,21 @@ enum class WaitPolicy
  *  rendezvous fields. */
 struct EvalOptions
 {
-    /// Worker-pool size (and partition-count bound); 0 means
-    /// std::thread::hardware_concurrency().  EvalMode::Parallel only.
+    /// Partition-count bound; 0 means
+    /// std::thread::hardware_concurrency().  EvalMode::Parallel only:
+    /// the netlist is partitioned into at most numThreads processes,
+    /// and the partition is kept only when the cost model says its
+    /// straggler plus one rendezvous beats the serial tape
+    /// (netlist::partitionPays); otherwise the design runs as one
+    /// process on the caller, with no pool.
     unsigned numThreads = 0;
     /// Partition merge strategy (§6.1 / Fig. 9): the paper's
     /// communication-aware Balanced heuristic or the LPT baseline.
     MergeAlgo mergeAlgo = MergeAlgo::Balanced;
+    /// Keep the partition at numThreads whatever the cost model says
+    /// (EvalMode::Parallel only): for tests and benches that must
+    /// exercise or sweep the rendezvous on small designs.
+    bool pinProcesses = false;
     /// Ensemble width: advance N decoupled simulations per step —
     /// one tape dispatch (and, with a worker pool, one two-barrier
     /// rendezvous) amortised over N lanes.  Compiled engines only;

@@ -445,9 +445,16 @@ partitionNetlist(const Netlist &netlist, unsigned num_processes,
                  MergeAlgo algo)
 {
     MANTICORE_ASSERT(num_processes >= 1, "need at least one process");
+    size_t serial_cost = 0;
+    for (size_t i = 0; i < netlist.numNodes(); ++i)
+        if (!isSource(netlist.node(static_cast<NodeId>(i)).kind))
+            serial_cost += nodeWeight(netlist, static_cast<NodeId>(i));
     std::vector<Seed> seeds = split(netlist);
-    if (seeds.empty())
-        return {};
+    if (seeds.empty()) {
+        NetlistPartition none;
+        none.stats.serialCost = serial_cost;
+        return none;
+    }
 
     Merger merger(netlist, std::move(seeds));
     size_t split_count = merger.numProcs();
@@ -458,6 +465,7 @@ partitionNetlist(const Netlist &netlist, unsigned num_processes,
         mergeLpt(merger, num_processes);
 
     NetlistPartition part = merger.finish(split_count, split_edges);
+    part.stats.serialCost = serial_cost;
     MANTICORE_ASSERT(part.processes.size() <= num_processes,
                      "merge produced too many processes");
     return part;

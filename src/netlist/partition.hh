@@ -57,7 +57,31 @@ struct NetlistPartitionStats
     size_t totalCost = 0;
     /// Node instances beyond the netlist's own count (duplication).
     size_t duplicatedNodes = 0;
+    /// Weighted nodes of the whole netlist run as one process: the
+    /// single-process layout's cost, with no sends and no rendezvous.
+    size_t serialCost = 0;
 };
+
+/** One two-barrier rendezvous per Vcycle, in the cost units above
+ *  (limbs per node, plus sends), at the widest pool the host runs.
+ *  Derived from bench_parallel_evaluator's empty-tape rendezvous row
+ *  (processes with empty tapes, so a Vcycle is all rendezvous) over
+ *  the serial tape's time per cost unit.  BENCH_parallel_evaluator.json
+ *  (4-vCPU Xeon): 1.37 us at P=4 over 3.36 ns per unit is 409 units
+ *  (P=2: 0.48 us, 142 units). */
+constexpr size_t kRendezvousCost = 400;
+
+/** The cost model behind the parallel presets: keep a partition only
+ *  when its straggler plus one rendezvous beats running the whole
+ *  netlist as one process.  Compute terms scale with the (padded)
+ *  lane count; the rendezvous is paid once per Vcycle. */
+inline bool
+partitionPays(const NetlistPartitionStats &stats, unsigned lanes)
+{
+    return stats.mergedProcesses > 1 &&
+           stats.estimatedMaxCost * lanes + kRendezvousCost <
+               stats.serialCost * lanes;
+}
 
 /** One final process of the merged partition. */
 struct NetlistProcess
@@ -83,7 +107,8 @@ struct NetlistPartition
 
 /** Split into per-sink cones and merge down to at most num_processes
  *  (>= 1).  Dead nodes feeding no register / memory write / effect
- *  are dropped.  A netlist with no sinks yields zero processes. */
+ *  are dropped.  A netlist with no sinks yields zero processes.
+ *  stats.serialCost is filled in either way. */
 NetlistPartition partitionNetlist(const Netlist &netlist,
                                   unsigned num_processes, MergeAlgo algo);
 

@@ -110,19 +110,21 @@ TapeEvaluator::TapeEvaluator(Netlist netlist, const EvalOptions &options,
     _laneCommit.assign(_lanes, 0);
     _laneFinish.assign(_lanes, 0);
 
-    // One process needs no partitioner; a sink-less design that
-    // partitions into none still gets its (empty) single process.
+    // One process needs no partitioner.  A partition is kept only if
+    // the cost model says its straggler plus the rendezvous beats the
+    // serial tape (or the caller pinned it); otherwise it is dropped
+    // before lowering.  A sink-less design that partitions into none
+    // still gets its (empty) single process.
     std::vector<NetlistProcess> processes;
     if (_numThreads > 1) {
         NetlistPartition part =
             partitionNetlist(_netlist, _numThreads, options.mergeAlgo);
         _stats = part.stats;
-        processes = std::move(part.processes);
+        if (options.pinProcesses || partitionPays(_stats, _padded))
+            processes = std::move(part.processes);
     }
-    if (processes.empty()) {
+    if (processes.empty())
         processes.push_back(wholeNetlist(_netlist));
-        _stats.mergedProcesses = 1;
-    }
     compile(std::move(processes));
 
     _memTable.reserve(_mems.size());

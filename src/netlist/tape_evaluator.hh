@@ -6,12 +6,20 @@
  * One class serves every compiled registry name; each name is a
  * preset of two orthogonal knobs:
  *
- *   | registry name        | processes          | executor |
- *   |----------------------|--------------------|----------|
- *   | netlist.compiled     | 1                  | tape     |
- *   | netlist.parallel     | up to numThreads   | tape     |
- *   | netlist.aot          | 1                  | AOT      |
- *   | netlist.parallel.aot | up to numThreads   | AOT      |
+ *   | registry name        | processes                 | executor |
+ *   |----------------------|---------------------------|----------|
+ *   | netlist.compiled     | 1                         | tape     |
+ *   | netlist.parallel     | cost model: 1 or up to nT | tape     |
+ *   | netlist.aot          | 1                         | AOT      |
+ *   | netlist.parallel.aot | cost model: 1 or up to nT | AOT      |
+ *
+ * The parallel presets partition into at most nT = numThreads
+ * processes and keep the partition only when its straggler plus one
+ * rendezvous costs less than the whole netlist as one process
+ * (netlist::partitionPays, arithmetic on the partitioner's stats — no
+ * timing, so the same netlist, numThreads, mergeAlgo and lanes always
+ * pick the same count).  Otherwise they build the single-process
+ * layout.  EvalOptions::pinProcesses keeps the partition regardless.
  *
  * The arena (exec/arena.hh) is split into a shared source region
  * (constants, inputs), a shared register file grouped by owning
@@ -33,8 +41,9 @@
  * into balanced processes and a persistent worker pool runs processes
  * 1..N-1 while the master runs process 0; the two barriers are
  * atomic counters honouring EvalOptions::waitPolicy.  With one
- * process (the single-process presets, or a design that partitions
- * into one process) the engine lowers the whole netlist directly,
+ * process (the single-process presets, a design that partitions into
+ * one process, or a partition the cost model rejects) the engine
+ * lowers the whole netlist directly,
  * without the partitioner, and every Vcycle runs on the caller with
  * no pool, atomics or barriers — the same master loop, minus the
  * rendezvous.
@@ -79,7 +88,9 @@ class TapeEvaluator : public EvaluatorBase
     /** Keeps its own copy of the netlist (cold data only).  `mode`
      *  picks the preset: Compiled and Aot run one process, Parallel
      *  partitions into at most options.numThreads processes (0 =
-     *  hardware concurrency); Aot or options.aot selects the AOT
+     *  hardware concurrency) and keeps the partition if the cost
+     *  model or options.pinProcesses says so; Aot or options.aot
+     *  selects the AOT
      *  executor.  Direct construction degrades gracefully when the
      *  AOT toolchain fails (see aot.hh); makeEvaluator is strict. */
     explicit TapeEvaluator(Netlist netlist, const EvalOptions &options = {},
@@ -146,7 +157,7 @@ class TapeEvaluator : public EvaluatorBase
     /** Introspection for tests and benches. */
     size_t numProcesses() const { return _procs.size(); }
     /** Resolved partition-count bound (1 on the single-process
-     *  presets). */
+     *  presets), whether or not the cost model kept the partition. */
     unsigned numThreads() const { return _numThreads; }
     /** Threads this evaluator OWNS: spawned pool workers, one per
      *  process beyond the first (the master runs process 0 inline).
@@ -154,8 +165,9 @@ class TapeEvaluator : public EvaluatorBase
      *  cycle executes on the calling thread — the mode the
      *  multi-tenant service relies on (src/service/scheduler.hh). */
     size_t ownedThreads() const { return _pool.size(); }
-    /** The partitioner's statistics (zero but mergedProcesses on the
-     *  single-process path, which skips the partitioner). */
+    /** The partitioner's statistics for the layout it proposed,
+     *  kept or not (numProcesses() is what runs); all zero when
+     *  numThreads() is 1, which skips the partitioner. */
     const NetlistPartitionStats &partitionStats() const { return _stats; }
     size_t tapeLength() const; ///< total instructions across processes
     size_t arenaLimbs() const { return _arena.limbs(); }

@@ -71,6 +71,7 @@ parallelAotOptions(const std::string &cache_dir, unsigned threads = 3)
     options.aot = true;
     options.aotCacheDir = cache_dir;
     options.numThreads = threads;
+    options.pinProcesses = true;
     return options;
 }
 
@@ -155,6 +156,7 @@ runEnsembleDifferential(const std::string &subject_name, unsigned lanes,
     engine::CreateOptions sopts;
     sopts.lanes = lanes;
     sopts.eval.numThreads = 3;
+    sopts.eval.pinProcesses = true;
     sopts.eval.aotCacheDir = cache_dir;
     auto subject = engine::create(subject_name, nl, sopts);
     EXPECT_EQ(subject->lanes(), lanes);
@@ -333,6 +335,7 @@ TEST(AotParallelEvaluator, MissingCompilerFallsBackToTheInterpretedTape)
 
     EvalOptions plain;
     plain.numThreads = options.numThreads;
+    plain.pinProcesses = true;
     TapeEvaluator interpreted(nl, plain, EvalMode::Parallel);
     runLockstep(nl, interpreted, fallback, {}, 13, 48);
 }
@@ -362,6 +365,7 @@ TEST(AotParallelEngine, RegistryReportsAvailabilityAndStats)
         GTEST_SKIP() << info->availabilityNote;
     engine::CreateOptions copts;
     copts.eval.aotCacheDir = freshCacheDir("engine");
+    copts.eval.pinProcesses = true;
     auto eng =
         engine::create("netlist.parallel.aot", designs::buildMm(64), copts);
     EXPECT_STREQ(eng->name(), "netlist.parallel.aot");

@@ -77,6 +77,7 @@ smallGrid()
     engine::CreateOptions options;
     options.compile.config.gridX = options.compile.config.gridY = 2;
     options.eval.numThreads = 2;
+    options.eval.pinProcesses = true;
     return options;
 }
 

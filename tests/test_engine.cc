@@ -68,6 +68,7 @@ smallGrid()
     engine::CreateOptions options;
     options.compile.config.gridX = options.compile.config.gridY = 2;
     options.eval.numThreads = 2;
+    options.eval.pinProcesses = true;
     return options;
 }
 
@@ -351,6 +352,7 @@ TEST(Engine, RealDesignDifferentialThroughTheInterface)
     engine::CreateOptions options;
     options.compile.config.gridX = options.compile.config.gridY = 4;
     options.eval.numThreads = 3;
+    options.eval.pinProcesses = true;
 
     for (const std::string &name : kAllEngines) {
         if (name == "netlist.reference")

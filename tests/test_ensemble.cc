@@ -67,6 +67,7 @@ ensembleOptions(unsigned lanes)
     engine::CreateOptions options;
     options.lanes = lanes;
     options.eval.numThreads = 3;
+    options.eval.pinProcesses = true;
     return options;
 }
 
@@ -435,6 +436,7 @@ TEST(Ensemble, LaneAccessorsRejectPaddedLanes)
     netlist::NodeId x = nl.findInput("x");
     netlist::EvalOptions opts;
     opts.numThreads = 2;
+    opts.pinProcesses = true;
     opts.lanes = 3;
     for (netlist::EvalMode mode :
          {netlist::EvalMode::Compiled, netlist::EvalMode::Parallel}) {

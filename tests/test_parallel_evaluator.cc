@@ -15,14 +15,21 @@
  *    ownership, operand-closed cones, process-count bound.
  *  - The serial engine's commit-ordering corner cases, replayed on
  *    the parallel engine (staging through the shared register file).
+ *  - The cost model that picks the process count, and pinProcesses.
+ *
+ * Every test that means to run the worker pool pins the partition
+ * (EvalOptions::pinProcesses): the cost model would run most of these
+ * small circuits as one process.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 #include "designs/designs.hh"
+#include "engine/registry.hh"
 #include "netlist/builder.hh"
 #include "netlist/partition.hh"
 #include "netlist/tape_evaluator.hh"
@@ -119,6 +126,7 @@ TEST(ParallelEvaluator, RandomizedDifferential)
         Netlist nl = gen.build();
         EvalOptions options;
         options.numThreads = 1 + static_cast<unsigned>(seed % 4);
+        options.pinProcesses = true;
         options.mergeAlgo = (seed % 2) == 0 ? MergeAlgo::Balanced
                                             : MergeAlgo::Lpt;
         SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
@@ -134,7 +142,7 @@ TEST(ParallelEvaluator, FullThreadSweepOnOneCircuit)
     Netlist nl = gen.build();
     for (MergeAlgo algo : {MergeAlgo::Balanced, MergeAlgo::Lpt}) {
         for (unsigned threads : {1u, 2u, 3u, 5u, 8u}) {
-            EvalOptions options{threads, algo};
+            EvalOptions options{threads, algo, true};
             SCOPED_TRACE(std::string(mergeAlgoName(algo)) + " x " +
                          std::to_string(threads));
             runDifferential(nl, gen.inputWidths(), 7, 32, options);
@@ -153,7 +161,7 @@ TEST(ParallelEvaluator, DesignChecksumsPass)
                 continue;
             auto par = netlist::makeEvaluator(
                 bm.build(bm.defaultCheckCycles), EvalMode::Parallel,
-                {4, MergeAlgo::Balanced});
+                {4, MergeAlgo::Balanced, true});
             SimStatus st = par->run(bm.defaultCheckCycles + 8);
             EXPECT_EQ(st, SimStatus::Finished)
                 << bm.name << ": " << par->failureMessage();
@@ -164,14 +172,14 @@ TEST(ParallelEvaluator, DesignChecksumsPass)
 TEST(ParallelEvaluator, DeterministicWaveforms)
 {
     Netlist nl = designs::buildMc(1u << 20);
-    std::string base = sampledVcd(nl, {4, MergeAlgo::Balanced}, 200);
+    std::string base = sampledVcd(nl, {4, MergeAlgo::Balanced, true}, 200);
     EXPECT_FALSE(base.empty());
     // Two runs at the same thread count are bit-identical...
-    EXPECT_EQ(base, sampledVcd(nl, {4, MergeAlgo::Balanced}, 200));
+    EXPECT_EQ(base, sampledVcd(nl, {4, MergeAlgo::Balanced, true}, 200));
     // ...and so are other thread counts and the other merge
     // algorithm: the engine is exact, not approximately parallel.
-    EXPECT_EQ(base, sampledVcd(nl, {2, MergeAlgo::Balanced}, 200));
-    EXPECT_EQ(base, sampledVcd(nl, {3, MergeAlgo::Lpt}, 200));
+    EXPECT_EQ(base, sampledVcd(nl, {2, MergeAlgo::Balanced, true}, 200));
+    EXPECT_EQ(base, sampledVcd(nl, {3, MergeAlgo::Lpt, true}, 200));
 }
 
 TEST(ParallelEvaluator, PartitionInvariants)
@@ -237,7 +245,7 @@ TEST(ParallelEvaluator, RegisterSwapUsesPreCommitValues)
     auto rb = b.reg("b", 64, 2);
     b.next(ra, rb.read());
     b.next(rb, ra.read());
-    TapeEvaluator par(b.build(), {2, MergeAlgo::Balanced},
+    TapeEvaluator par(b.build(), {2, MergeAlgo::Balanced, true},
                       EvalMode::Parallel);
     par.step();
     EXPECT_EQ(par.regValue("a").toUint64(), 2u);
@@ -254,7 +262,7 @@ TEST(ParallelEvaluator, MemWriteSeesPreCommitRegisterData)
     b.next(counter, counter.read() + b.lit(8, 1));
     auto mem = b.memory("m", 8, 16);
     mem.write(b.lit(8, 3), counter.read(), b.lit(1, 1));
-    TapeEvaluator par(b.build(), {2, MergeAlgo::Balanced},
+    TapeEvaluator par(b.build(), {2, MergeAlgo::Balanced, true},
                       EvalMode::Parallel);
     par.step();
     EXPECT_EQ(par.memValue(0, 3).toUint64(), 5u);
@@ -272,7 +280,7 @@ TEST(ParallelEvaluator, AssertFailureSkipsCommitLikeReference)
         return b.build();
     };
     Evaluator ref(build());
-    TapeEvaluator par(build(), {2, MergeAlgo::Balanced},
+    TapeEvaluator par(build(), {2, MergeAlgo::Balanced, true},
                       EvalMode::Parallel);
     EXPECT_EQ(ref.run(100), SimStatus::AssertFailed);
     EXPECT_EQ(par.run(100), SimStatus::AssertFailed);
@@ -317,7 +325,7 @@ TEST(ParallelEvaluator, ThrowingDisplayCallbackDoesNotStrandWorkers)
                                                 : "one register") +
                          " threads " + std::to_string(threads));
             TapeEvaluator par(partitions ? twoCones() : oneRegister(),
-                              {threads, MergeAlgo::Balanced},
+                              {threads, MergeAlgo::Balanced, true},
                               EvalMode::Parallel);
             if (threads == 1 || !partitions) {
                 EXPECT_EQ(par.numProcesses(), 1u);
@@ -359,10 +367,82 @@ TEST(ParallelEvaluator, FactoryBuildsParallelMode)
 
     EXPECT_STREQ(netlist::evalModeName(EvalMode::Parallel), "parallel");
     auto par = netlist::makeEvaluator(nl, EvalMode::Parallel,
-                                      {3, MergeAlgo::Lpt});
+                                      {3, MergeAlgo::Lpt, true});
     auto ref = netlist::makeEvaluator(nl, EvalMode::Reference);
     EXPECT_EQ(par->run(100), SimStatus::Finished);
     EXPECT_EQ(ref->run(100), SimStatus::Finished);
     EXPECT_EQ(par->cycle(), ref->cycle());
     EXPECT_EQ(par->displayLog(), ref->displayLog());
+}
+
+TEST(ParallelEvaluator, CostModelPicksTheProcessCount)
+{
+    // netlist.parallel keeps its partition only when the straggler
+    // plus one rendezvous costs less than the serial tape.  mm32's
+    // work dwarfs a rendezvous; jpeg's whole Vcycle is cheaper than
+    // one, so it runs as one process on the caller.
+    const EvalOptions four{4, MergeAlgo::Balanced};
+    TapeEvaluator mm(designs::buildMmSized(64, 32), four,
+                     EvalMode::Parallel);
+    EXPECT_GE(mm.numProcesses(), 2u);
+    EXPECT_TRUE(netlist::partitionPays(mm.partitionStats(), 1));
+
+    Netlist jpeg = designs::buildJpeg(64);
+    TapeEvaluator serial(jpeg, four, EvalMode::Parallel);
+    EXPECT_EQ(serial.numProcesses(), 1u);
+    EXPECT_EQ(serial.ownedThreads(), 0u);
+    EXPECT_GE(serial.partitionStats().mergedProcesses, 2u);
+    EXPECT_FALSE(netlist::partitionPays(serial.partitionStats(), 1));
+    EXPECT_EQ(serial.run(1000), SimStatus::Finished)
+        << serial.failureMessage();
+
+    // Pinned, the same small design keeps the partition.
+    TapeEvaluator pinned(jpeg, {4, MergeAlgo::Balanced, true},
+                         EvalMode::Parallel);
+    EXPECT_GE(pinned.numProcesses(), 2u);
+    EXPECT_GE(pinned.ownedThreads(), 1u);
+    EXPECT_EQ(pinned.run(1000), SimStatus::Finished)
+        << pinned.failureMessage();
+
+    // The decision is arithmetic on the partition: same input, same
+    // count.
+    for (const designs::Benchmark &bm : designs::allBenchmarks()) {
+        Netlist nl = bm.build(64);
+        TapeEvaluator a(nl, four, EvalMode::Parallel);
+        TapeEvaluator b(nl, four, EvalMode::Parallel);
+        EXPECT_EQ(a.numProcesses(), b.numProcesses()) << bm.name;
+    }
+}
+
+TEST(ParallelEvaluator, CostModelScalesComputeWithLanes)
+{
+    // Compute terms scale with the lane count, the rendezvous does
+    // not: a partition too small to pay at one lane pays once enough
+    // lanes share each rendezvous.
+    netlist::NetlistPartitionStats stats;
+    stats.mergedProcesses = 4;
+    stats.serialCost = 100;
+    stats.estimatedMaxCost = 40;
+    EXPECT_FALSE(netlist::partitionPays(stats, 1));
+    EXPECT_TRUE(netlist::partitionPays(stats, 64));
+    // A one-process partition never pays for a rendezvous.
+    stats.mergedProcesses = 1;
+    EXPECT_FALSE(netlist::partitionPays(stats, 64));
+}
+
+TEST(ParallelEvaluator, EngineStatsReportTheDecision)
+{
+    engine::CreateOptions options;
+    options.eval.numThreads = 4;
+    auto eng = engine::create("netlist.parallel", designs::buildJpeg(64),
+                              options);
+    std::unordered_map<std::string, uint64_t> stats;
+    for (const engine::Stat &s : eng->stats())
+        stats[s.name] = s.value;
+    EXPECT_EQ(stats.at("processes"), 1u);
+    EXPECT_EQ(stats.at("threads"), 4u);
+    EXPECT_GT(stats.at("serial_cost"), 0u);
+    EXPECT_GT(stats.at("straggler_cost"), 0u);
+    EXPECT_GE(stats.at("straggler_cost") + netlist::kRendezvousCost,
+              stats.at("serial_cost"));
 }

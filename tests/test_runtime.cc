@@ -113,6 +113,7 @@ TEST(Runtime, CrossCheckPassesWithEveryGoldenEngine)
           netlist::EvalMode::Parallel}) {
         netlist::EvalOptions eopts;
         eopts.numThreads = 2;
+        eopts.pinProcesses = true;
         runtime::Simulation sim(designs::buildBlur(128), opts, mode,
                                 eopts);
         EXPECT_EQ(sim.goldenMode(), mode);
@@ -128,7 +129,8 @@ TEST(Runtime, CrossCheckRunsToFinish)
     compiler::CompileOptions opts;
     opts.config.gridX = opts.config.gridY = 2;
     runtime::Simulation sim(wideDisplayDesign(), opts,
-                            netlist::EvalMode::Parallel, {2});
+                            netlist::EvalMode::Parallel,
+                            {2, MergeAlgo::Balanced, true});
     EXPECT_EQ(sim.runCrossChecked(100), isa::RunStatus::Finished)
         << sim.divergence();
     EXPECT_TRUE(sim.divergence().empty());

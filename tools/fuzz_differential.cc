@@ -4,8 +4,9 @@
  * generates random-but-valid netlists (tests/random_circuit.hh),
  * drives every free input with a fresh random waveform each cycle,
  * and locksteps the reference evaluator against each fast netlist
- * engine.  On the FIRST divergence the attached ReplayRecorder
- * writes a one-file replay artifact (design seed + the full recorded
+ * engine (the parallel presets pinned at two processes).  On the
+ * FIRST divergence the attached ReplayRecorder writes a one-file
+ * replay artifact (design seed + the full recorded
  * stimulus + the golden's expected terminal) and the fuzzer exits
  * nonzero — the artifact alone reproduces the failure via
  * `replay_runner <artifact>` in a fresh process.
@@ -131,6 +132,14 @@ main(int argc, char **argv)
                          info.name, info.availabilityNote.c_str());
     }
 
+    // The parallel presets run pinned at two processes, so random
+    // circuits (which the cost model would mostly run as one process)
+    // still go through the two-barrier rendezvous.  The other
+    // subjects ignore both fields.
+    engine::CreateOptions subject_options;
+    subject_options.eval.numThreads = 2;
+    subject_options.eval.pinProcesses = true;
+
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(seconds);
     uint64_t circuits = 0, pairs = 0;
@@ -154,7 +163,8 @@ main(int argc, char **argv)
 
         for (const std::string &subject_name : subjects) {
             auto golden = engine::create("netlist.reference", nl);
-            auto subject = engine::create(subject_name, nl);
+            auto subject =
+                engine::create(subject_name, nl, subject_options);
             ++pairs;
 
             runtime::ReplayRecorder recorder;
