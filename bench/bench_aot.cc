@@ -69,6 +69,7 @@ main(int argc, char **argv)
     std::printf("toolchain: %s\n", tc.compiler.c_str());
 
     netlist::EvalOptions aot_options;
+    aot_options.aot = true;
     aot_options.aotCacheDir = bench::cacheDirFlag(argc, argv);
     std::string baseline =
         bench::engineFlag(argc, argv, "netlist.compiled");
@@ -94,13 +95,11 @@ main(int argc, char **argv)
         // Cold startup: codegen + host compile (or whatever the cache
         // already holds); warm startup must be compile-free.
         auto t0 = std::chrono::steady_clock::now();
-        netlist::TapeEvaluator cold(nl, aot_options,
-                                    netlist::EvalMode::Aot);
+        netlist::TapeEvaluator cold(nl, aot_options);
         double cold_s = secondsSince(t0);
 
         t0 = std::chrono::steady_clock::now();
-        netlist::TapeEvaluator aot(nl, aot_options,
-                                   netlist::EvalMode::Aot);
+        netlist::TapeEvaluator aot(nl, aot_options);
         double warm_s = secondsSince(t0);
         if (!aot.usingAot() || aot.compilerInvocations() != 0 ||
             !aot.cacheHit())
@@ -164,8 +163,7 @@ main(int argc, char **argv)
             std::error_code ec;
             std::filesystem::remove_all(cold_options.aotCacheDir, ec);
             auto t0 = std::chrono::steady_clock::now();
-            netlist::TapeEvaluator cold(nl, cold_options,
-                                        netlist::EvalMode::Aot);
+            netlist::TapeEvaluator cold(nl, cold_options);
             secs[pass] = secondsSince(t0);
             invocations = cold.compilerInvocations();
             std::filesystem::remove_all(cold_options.aotCacheDir, ec);

@@ -55,8 +55,7 @@ main()
         uint64_t horizon = bench::measureHorizon(bm.name);
         netlist::Netlist nl = bm.build(horizon);
 
-        auto ref =
-            netlist::makeEvaluator(nl, netlist::EvalMode::Reference);
+        auto ref = std::make_unique<netlist::Evaluator>(nl);
         // The reference engine can be slow enough that the default
         // 2048-cycle chunk overshoots the budget; use a smaller one.
         double ref_khz = measure(*ref, horizon, 256);

@@ -10,7 +10,7 @@
 
 #include "baseline/baseline.hh"
 #include "bench/common.hh"
-#include "netlist/evaluator.hh"
+#include "engine/registry.hh"
 
 using namespace manticore;
 
@@ -23,10 +23,7 @@ main()
 
     unsigned max_threads =
         std::min(8u, std::max(2u, std::thread::hardware_concurrency()));
-    std::printf("%8s", "bench");
-    for (netlist::EvalMode mode :
-         {netlist::EvalMode::Reference, netlist::EvalMode::Compiled})
-        std::printf("  %-9s", netlist::evalModeName(mode));
+    std::printf("%8s  %-9s  %-9s", "bench", "reference", "compiled");
     for (unsigned t = 1; t <= max_threads; ++t)
         std::printf("  thr%-5u", t);
     std::printf("\n");
@@ -40,15 +37,15 @@ main()
 
         // Netlist-evaluator baselines (the rates every engine is
         // measured against): reference graph walker vs compiled tape.
-        for (netlist::EvalMode mode :
-             {netlist::EvalMode::Reference, netlist::EvalMode::Compiled}) {
-            auto eval = netlist::makeEvaluator(nl, mode);
+        for (const char *name : {"netlist.reference", "netlist.compiled"}) {
+            auto eval = engine::create(name, nl);
             double khz = bench::measureRateKhz(
                 [&](uint64_t chunk) {
-                    return eval->run(chunk) == netlist::SimStatus::Ok;
+                    return eval->step(chunk).status ==
+                           engine::Status::Running;
                 },
                 horizon - 8, 0.1,
-                mode == netlist::EvalMode::Reference ? 256 : 2048);
+                std::strcmp(name, "netlist.reference") == 0 ? 256 : 2048);
             std::printf("  %-9.1f", khz);
         }
         double serial_khz = 0.0;

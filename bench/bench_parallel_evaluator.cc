@@ -52,10 +52,10 @@ median(std::vector<double> xs)
  *  warm one. */
 double
 measure(const netlist::Netlist &nl, const netlist::EvalOptions &options,
-        netlist::EvalMode mode, uint64_t horizon,
+        bool partitioned, uint64_t horizon,
         netlist::NetlistPartitionStats *stats = nullptr)
 {
-    netlist::TapeEvaluator eval(nl, options, mode);
+    netlist::TapeEvaluator eval(nl, options, partitioned);
     if (stats)
         *stats = eval.partitionStats();
     auto step = [&](uint64_t n) {
@@ -124,7 +124,7 @@ main()
         for (size_t i = 0; i < kProcs.size(); ++i)
             empty_khz[i].push_back(
                 measure(empty, pinned(kProcs[i], MergeAlgo::Lpt),
-                        netlist::EvalMode::Parallel, kEmptyHorizon));
+                        /*partitioned=*/true, kEmptyHorizon));
     const double empty_us1 = 1e3 / median(empty_khz[0]);
     std::vector<double> rendezvous_us(kProcs.size(), 0.0);
     std::printf("\nempty-tape rendezvous (median of %d):\n",
@@ -170,13 +170,13 @@ main()
             stats[a].resize(kProcs.size());
         }
         for (int rep = 0; rep < kReps; ++rep) {
-            serial.push_back(measure(nl, {}, netlist::EvalMode::Compiled,
-                                     horizon));
+            serial.push_back(
+                measure(nl, {}, /*partitioned=*/false, horizon));
             for (int a = 0; a < 2; ++a)
                 for (size_t i = 0; i < kProcs.size(); ++i)
                     khz[a][i].push_back(measure(
                         nl, pinned(kProcs[i], algos[a]),
-                        netlist::EvalMode::Parallel, horizon,
+                        /*partitioned=*/true, horizon,
                         &stats[a][i]));
         }
         const double serial_khz = median(serial);

@@ -2,9 +2,11 @@
 
 #include "engine/snapshot.hh"
 #include "isa/interpreter.hh"
+#include "isa/tape_interpreter.hh"
 #include "machine/machine.hh"
 #include "netlist/aot.hh"
 #include "netlist/evaluator.hh"
+#include "netlist/tape_evaluator.hh"
 #include "runtime/host.hh"
 #include "support/logging.hh"
 #include "support/namelist.hh"
@@ -54,9 +56,56 @@ rejectLanes(const std::string &name, unsigned lanes)
                     formatNameList(ensembleEngineNames()));
 }
 
+/** The compiled netlist-level names: each is a TapeEvaluator preset
+ *  of (partitioned, executor). */
+struct NetlistPreset
+{
+    const char *name;
+    bool partitioned;
+    bool aot;
+};
+
+constexpr NetlistPreset kNetlistPresets[] = {
+    {"netlist.compiled", false, false},
+    {"netlist.parallel", true, false},
+    {"netlist.aot", false, true},
+    {"netlist.parallel.aot", true, true},
+};
+
+std::unique_ptr<netlist::EvaluatorBase>
+createEvaluator(const std::string &name, const netlist::Netlist &netlist,
+                netlist::EvalOptions eval)
+{
+    if (name == "netlist.reference")
+        return std::make_unique<netlist::Evaluator>(netlist);
+    for (const NetlistPreset &preset : kNetlistPresets) {
+        if (name != preset.name)
+            continue;
+        eval.aot = preset.aot;
+        if (eval.aot) {
+            // Strict availability at the registry boundary: a caller
+            // who ASKED for AOT gets an actionable error, not a silent
+            // interpreter.  (Direct TapeEvaluator construction
+            // degrades gracefully instead — see aot.hh.)
+            const netlist::AotToolchain &tc =
+                netlist::aotToolchain(eval.aotCompiler);
+            if (!tc.ok)
+                MANTICORE_FATAL(
+                    name, " needs a working host C++ compiler: ",
+                    tc.message,
+                    " -- set $MANTICORE_AOT_CXX or "
+                    "EvalOptions::aotCompiler, or use ",
+                    preset.partitioned ? "netlist.parallel"
+                                       : "netlist.compiled");
+        }
+        return std::make_unique<netlist::TapeEvaluator>(
+            netlist, eval, preset.partitioned);
+    }
+    MANTICORE_PANIC("netlist-level engine ", name, " has no preset");
+}
+
 /** Wire an ISA-level adapter to its Host and context.  The adapter
- *  must expose interpreter()/machine() global memory already; `setup`
- *  has run makeInterpreter / Machine construction. */
+ *  must expose interpreter()/machine() global memory already. */
 template <typename Adapter>
 std::unique_ptr<Engine>
 finishSelfHosted(std::unique_ptr<Adapter> adapter,
@@ -114,13 +163,16 @@ createIsaLevel(const std::string &name,
         return finishSelfHosted(std::move(adapter), std::move(ctx),
                                 program, global);
     }
-    isa::ExecMode mode;
-    if (name.rfind("isa.", 0) != 0 ||
-        !isa::parseExecMode(name.substr(4), mode))
+    std::unique_ptr<isa::InterpreterBase> interp;
+    if (name == "isa.reference")
+        interp = std::make_unique<isa::Interpreter>(program, config);
+    else if (name == "isa.tape")
+        interp =
+            std::make_unique<isa::TapeInterpreter>(program, config, lanes);
+    else
         unknownEngine(name);
-    auto adapter = std::make_unique<IsaEngine>(
-        name, isa::makeInterpreter(program, config, mode, lanes),
-        std::move(signals));
+    auto adapter = std::make_unique<IsaEngine>(name, std::move(interp),
+                                               std::move(signals));
     // Design identity for snapshots; 0 (= unknown, hash check skipped)
     // on the program-only create() path where no netlist exists.
     adapter->setDesignHash(design_hash);
@@ -258,20 +310,9 @@ create(const std::string &name, const netlist::Netlist &netlist,
     if (eval.lanes != 1 && !(info->caps & cap::kEnsemble))
         rejectLanes(name, eval.lanes);
 
-    if (info->netlistLevel) {
-        // Each compiled name is a preset of (partition count,
-        // executor): the mode picks the partition count, and only
-        // the .aot names run the AOT executor.
-        netlist::EvalMode mode = netlist::EvalMode::Parallel;
-        eval.aot = name == "netlist.parallel.aot";
-        if (!eval.aot) {
-            bool ok = netlist::parseEvalMode(name.substr(8), mode);
-            MANTICORE_ASSERT(ok, "registry/EvalMode name drift for ",
-                             name);
-        }
+    if (info->netlistLevel)
         return std::make_unique<NetlistEngine>(
-            name, netlist::makeEvaluator(netlist, mode, eval), netlist);
-    }
+            name, createEvaluator(name, netlist, eval), netlist);
 
     auto ctx = std::make_shared<ProgramContext>();
     ctx->compiled = compiler::compile(netlist, options.compile);

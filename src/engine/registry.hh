@@ -27,8 +27,8 @@
  * runtime::Host so $display / $finish / assertions work out of the
  * box, and RTL probes go through the compiler's observation map).
  * `create(name, program, config)` skips the compile for callers that
- * already have a binary program.  `makeEvaluator` / `makeInterpreter`
- * remain as thin mode-enum spellings of the same constructions.
+ * already have a binary program.  `create` is the one way to build an
+ * engine by name.
  *
  * Session is the quickstart convenience: a created engine plus the
  * one-call run loop (see README.md).
@@ -100,8 +100,8 @@ struct CreateOptions
     /// lanes != 1 with a fatal() listing them.
     /// Shorthand for (and, when != 1, overriding) eval.lanes.
     unsigned lanes = 1;
-    /// netlist.parallel knobs (worker count, merge strategy, wait
-    /// policy), the compiled engines' lane count and AOT cache /
+    /// netlist.parallel* knobs (worker count, merge strategy, pinned
+    /// partition), the compiled engines' lane count and AOT cache /
     /// compiler settings.  eval.aot is set by the registry name.
     netlist::EvalOptions eval;
     /// Grid / machine configuration for the ISA-level engines (the

@@ -57,10 +57,9 @@
  * **Degradation.**  Direct TapeEvaluator construction degrades
  * gracefully: if the toolchain probe, a compile or a dlopen fails,
  * the engine warns and keeps the affected process on the
- * interpreted tape with identical results.  The factory/registry
- * path (makeEvaluator / engine::create) is strict instead: a caller
- * who asked for AOT by name gets a fatal naming the probed
- * toolchain.
+ * interpreted tape with identical results.  The registry path
+ * (engine::create) is strict instead: a caller who asked for AOT by
+ * name gets a fatal naming the probed toolchain.
  *
  * Env knobs: $MANTICORE_AOT_CXX (compiler override),
  * $MANTICORE_AOT_CACHE (cache dir), $MANTICORE_AOT_INCLUDE (where

@@ -19,8 +19,8 @@
  *    (interpreted tape or AOT-compiled objects, aot.hh) are its two
  *    knobs; the compiled registry names are presets of them.
  *
- * makeEvaluator() picks an engine at runtime so harnesses can compare
- * them (see src/netlist/README.md).
+ * engine::create builds either by registry name so harnesses can
+ * compare them (see src/netlist/README.md).
  */
 
 #ifndef MANTICORE_NETLIST_EVALUATOR_HH
@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -180,42 +179,14 @@ class EvaluatorBase
                                  const std::string &name);
 };
 
-/** Which evaluator engine makeEvaluator() should build: the
- *  reference Evaluator or a TapeEvaluator preset. */
-enum class EvalMode
-{
-    Reference, ///< graph-walking Evaluator (allocating, obviously correct)
-    Compiled,  ///< one process, interpreted tape (zero-allocation)
-    Parallel,  ///< up to numThreads processes on a worker pool (§6.1),
-               ///< if the cost model keeps the partition
-    Aot,       ///< one process, AOT-compiled cycle function (aot.hh)
-};
-
-const char *evalModeName(EvalMode mode);
-
-/** Parse "reference" / "compiled" / "parallel" / "aot" (the
- *  evalModeName spellings) into an EvalMode; returns false on
- *  anything else. */
-bool parseEvalMode(const std::string &name, EvalMode &mode);
-
-/** How the parallel evaluator's rendezvous waits for its peers. */
-enum class WaitPolicy
-{
-    /// Spin with periodic yields: lowest latency, burns the core.
-    Spin,
-    /// Park on a condition variable: frees the core between phases —
-    /// for oversubscribed hosts where idle partitions would otherwise
-    /// steal cycles from the partitions still computing.
-    Block,
-};
-
-/** Engine options; the TapeEvaluator presets consult lanes and the
- *  AOT fields, only EvalMode::Parallel consults the partitioning and
- *  rendezvous fields. */
+/** Engine options.  Registry names pick the preset
+ *  (engine::create): the compiled names consult lanes and the AOT
+ *  fields, only netlist.parallel and netlist.parallel.aot consult
+ *  the partitioning fields, and netlist.reference consults none. */
 struct EvalOptions
 {
     /// Partition-count bound; 0 means
-    /// std::thread::hardware_concurrency().  EvalMode::Parallel only:
+    /// std::thread::hardware_concurrency().  netlist.parallel* only:
     /// the netlist is partitioned into at most numThreads processes,
     /// and the partition is kept only when the cost model says its
     /// straggler plus one rendezvous beats the serial tape
@@ -226,39 +197,33 @@ struct EvalOptions
     /// communication-aware Balanced heuristic or the LPT baseline.
     MergeAlgo mergeAlgo = MergeAlgo::Balanced;
     /// Keep the partition at numThreads whatever the cost model says
-    /// (EvalMode::Parallel only): for tests and benches that must
+    /// (netlist.parallel* only): for tests and benches that must
     /// exercise or sweep the rendezvous on small designs.
     bool pinProcesses = false;
     /// Ensemble width: advance N decoupled simulations per step —
     /// one tape dispatch (and, with a worker pool, one two-barrier
     /// rendezvous) amortised over N lanes.  Compiled engines only;
-    /// EvalMode::Reference rejects lanes != 1.
+    /// netlist.reference rejects lanes != 1.
     unsigned lanes = 1;
-    /// Rendezvous wait policy (EvalMode::Parallel only).
-    WaitPolicy waitPolicy = WaitPolicy::Spin;
     /// Evaluate every process's tape through its own AOT-compiled
-    /// object, at any partition count (EvalMode::Aot implies it;
-    /// with EvalMode::Parallel this is "netlist.parallel.aot").  Only
-    /// the compute phase's executor changes (see src/netlist/aot.hh).
+    /// object, at any partition count.  engine::create sets it from
+    /// the registry name (netlist.aot, netlist.parallel.aot); a
+    /// directly constructed TapeEvaluator reads it.  Only the compute
+    /// phase's executor changes (see src/netlist/aot.hh).
     bool aot = false;
-    /// AOT modes: object-cache directory override.  Empty means
+    /// AOT presets: object-cache directory override.  Empty means
     /// $MANTICORE_AOT_CACHE, then a per-user directory under
     /// $TMPDIR (see src/netlist/aot.hh for the resolution order).
     std::string aotCacheDir;
-    /// AOT modes: host C++ compiler override.  Empty means
+    /// AOT presets: host C++ compiler override.  Empty means
     /// $MANTICORE_AOT_CXX, then the first of c++ / g++ / clang++
     /// that passes the toolchain probe.
     std::string aotCompiler;
-    /// AOT modes: cold-build concurrency — chunked translation units
-    /// and per-partition objects compile through up to this many
-    /// concurrent compiler processes (0 = hardware concurrency).
+    /// AOT presets: cold-build concurrency — chunked translation
+    /// units and per-partition objects compile through up to this
+    /// many concurrent compiler processes (0 = hardware concurrency).
     unsigned aotJobs = 0;
 };
-
-/** Build an evaluator over (a copy of) the netlist in the given mode. */
-std::unique_ptr<EvaluatorBase> makeEvaluator(Netlist netlist,
-                                             EvalMode mode,
-                                             const EvalOptions &options = {});
 
 class Evaluator : public EvaluatorBase
 {

@@ -7,7 +7,6 @@
 #include <dlfcn.h>
 
 #include "exec/padding.hh"
-#include "netlist/aot.hh"
 #include "support/limbops.hh"
 #include "support/logging.hh"
 
@@ -43,61 +42,15 @@ wholeNetlist(const Netlist &netlist)
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Rendezvous waits (WaitPolicy::Spin | WaitPolicy::Block)
-// ---------------------------------------------------------------------------
-
-uint64_t
-TapeEvaluator::waitAboveBlocked(const std::atomic<uint64_t> &gen,
-                                uint64_t last) const
-{
-    uint64_t v;
-    if ((v = gen.load(std::memory_order_acquire)) != last)
-        return v;
-    std::unique_lock<std::mutex> lk(_waitMx);
-    _waitCv.wait(lk, [&] {
-        return (v = gen.load(std::memory_order_acquire)) != last;
-    });
-    return v;
-}
-
-void
-TapeEvaluator::waitCountBlocked(const std::atomic<uint64_t> &counter,
-                                uint64_t target) const
-{
-    if (counter.load(std::memory_order_acquire) >= target)
-        return;
-    std::unique_lock<std::mutex> lk(_waitMx);
-    _waitCv.wait(lk, [&] {
-        return counter.load(std::memory_order_acquire) >= target;
-    });
-}
-
-void
-TapeEvaluator::wakeBlocked() const
-{
-    // The empty critical section orders this wake after any peer that
-    // checked the predicate (false) but has not yet parked: it holds
-    // _waitMx between the check and the park, so by the time we can
-    // take the lock it is either parked (notify reaches it) or has
-    // seen the new counter value.
-    { std::lock_guard<std::mutex> lk(_waitMx); }
-    _waitCv.notify_all();
-}
-
-// ---------------------------------------------------------------------------
 // Construction
 // ---------------------------------------------------------------------------
 
 TapeEvaluator::TapeEvaluator(Netlist netlist, const EvalOptions &options,
-                             EvalMode mode)
-    : _netlist(std::move(netlist)),
-      _partitioned(mode == EvalMode::Parallel),
-      _aot(options.aot || mode == EvalMode::Aot), _lanes(options.lanes),
-      _padded(exec::paddedLaneCount(options.lanes)), _arena(_padded),
-      _waitPolicy(options.waitPolicy)
+                             bool partitioned)
+    : _netlist(std::move(netlist)), _partitioned(partitioned),
+      _aot(options.aot), _lanes(options.lanes),
+      _padded(exec::paddedLaneCount(options.lanes)), _arena(_padded)
 {
-    MANTICORE_ASSERT(mode != EvalMode::Reference,
-                     "the reference evaluator is not a tape preset");
     MANTICORE_ASSERT(_lanes >= 1, "ensemble needs at least one lane");
     _netlist.validate();
     if (_partitioned) {
@@ -144,7 +97,6 @@ TapeEvaluator::~TapeEvaluator()
     _shutdown.store(true, std::memory_order_relaxed);
     _computeGen.fetch_add(1, std::memory_order_release);
     _commitGen.fetch_add(1, std::memory_order_release);
-    wake();
     for (std::thread &t : _pool)
         t.join();
     for (Proc &p : _procs)
@@ -381,9 +333,7 @@ TapeEvaluator::commitProc(const Proc &proc)
  * after the previous cycle's full commit count arrived.  _batchMore
  * and the _laneCommit flags are written by the master before the
  * _commitGen release bump and read by workers after its acquire,
- * strictly before the master's next write to them.  Under
- * WaitPolicy::Block every one of these counter bumps is followed by
- * wake() so a parked peer re-checks its predicate. */
+ * strictly before the master's next write to them. */
 void
 TapeEvaluator::workerLoop(size_t proc_index)
 {
@@ -398,7 +348,6 @@ TapeEvaluator::workerLoop(size_t proc_index)
         while (true) {
             computeProc(proc_index);
             _computeDone.fetch_add(1, std::memory_order_release);
-            wake();
             seen_commit = waitAbove(_commitGen, seen_commit);
             if (_shutdown.load(std::memory_order_relaxed))
                 return;
@@ -406,7 +355,6 @@ TapeEvaluator::workerLoop(size_t proc_index)
             if (_doCommit)
                 commitProc(_procs[proc_index]);
             _commitDone.fetch_add(1, std::memory_order_release);
-            wake();
             if (!more)
                 break; // park at the next batch's compute rendezvous
             commit_target += participants;
@@ -421,7 +369,6 @@ TapeEvaluator::startBatch()
     // One pool command for the whole batch: workers enter their batch
     // loop and compute cycle 0; the master runs process 0 inline.
     _computeGen.fetch_add(1, std::memory_order_release);
-    wake();
 }
 
 void
@@ -438,14 +385,12 @@ TapeEvaluator::publishCommit(bool more)
     // goes on.
     _batchMore = more;
     _commitGen.fetch_add(1, std::memory_order_release);
-    wake();
 }
 
 void
 TapeEvaluator::awaitCommit()
 {
     _commitDone.fetch_add(1, std::memory_order_release);
-    wake();
     _commitTarget += _pool.size() + 1;
     waitCount(_commitDone, _commitTarget);
 }
@@ -790,64 +735,6 @@ TapeEvaluator::snapshotRestored()
     for (const LaneState &ls : _lane)
         cycle = std::max(cycle, ls.cycle);
     _cycle = cycle;
-}
-
-// ---------------------------------------------------------------------------
-// The mode-enum factory
-// ---------------------------------------------------------------------------
-
-const char *
-evalModeName(EvalMode mode)
-{
-    switch (mode) {
-      case EvalMode::Reference: return "reference";
-      case EvalMode::Compiled: return "compiled";
-      case EvalMode::Parallel: return "parallel";
-      case EvalMode::Aot: return "aot";
-    }
-    return "?";
-}
-
-bool
-parseEvalMode(const std::string &name, EvalMode &mode)
-{
-    for (EvalMode m : {EvalMode::Reference, EvalMode::Compiled,
-                       EvalMode::Parallel, EvalMode::Aot}) {
-        if (name == evalModeName(m)) {
-            mode = m;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::unique_ptr<EvaluatorBase>
-makeEvaluator(Netlist netlist, EvalMode mode, const EvalOptions &options)
-{
-    if (mode == EvalMode::Reference) {
-        if (options.lanes != 1)
-            MANTICORE_FATAL("the reference evaluator has no ensemble "
-                            "mode (lanes=", options.lanes,
-                            "); use compiled or parallel");
-        return std::make_unique<Evaluator>(std::move(netlist));
-    }
-    if (options.aot || mode == EvalMode::Aot) {
-        // Strict availability at the factory/registry boundary: a
-        // caller who ASKED for AOT gets an actionable error, not a
-        // silent interpreter.  (Direct TapeEvaluator construction
-        // degrades gracefully instead — see aot.hh.)
-        const AotToolchain &tc = aotToolchain(options.aotCompiler);
-        bool parallel = mode == EvalMode::Parallel;
-        if (!tc.ok)
-            MANTICORE_FATAL(
-                parallel ? "netlist.parallel.aot" : "netlist.aot",
-                " needs a working host C++ compiler: ", tc.message,
-                " -- set $MANTICORE_AOT_CXX or EvalOptions::aotCompiler, "
-                "or use ",
-                parallel ? "netlist.parallel" : "netlist.compiled");
-    }
-    return std::make_unique<TapeEvaluator>(std::move(netlist), options,
-                                           mode);
 }
 
 } // namespace manticore::netlist

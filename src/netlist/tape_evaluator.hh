@@ -40,7 +40,7 @@
  * With more than one process, netlist/partition.hh splits the netlist
  * into balanced processes and a persistent worker pool runs processes
  * 1..N-1 while the master runs process 0; the two barriers are
- * atomic counters honouring EvalOptions::waitPolicy.  With one
+ * spin-waited atomic counters.  With one
  * process (the single-process presets, a design that partitions into
  * one process, or a partition the cost model rejects) the engine
  * lowers the whole netlist directly,
@@ -60,16 +60,14 @@
  * transcript; a lane that finishes or fails an assertion is frozen
  * while the others keep running.  The engine is cycle-exact with the
  * reference Evaluator per lane and deterministic across thread
- * counts, wait policies and executors.
+ * counts and executors.
  */
 
 #ifndef MANTICORE_NETLIST_TAPE_EVALUATOR_HH
 #define MANTICORE_NETLIST_TAPE_EVALUATOR_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,16 +83,15 @@ namespace manticore::netlist {
 class TapeEvaluator : public EvaluatorBase
 {
   public:
-    /** Keeps its own copy of the netlist (cold data only).  `mode`
-     *  picks the preset: Compiled and Aot run one process, Parallel
-     *  partitions into at most options.numThreads processes (0 =
-     *  hardware concurrency) and keeps the partition if the cost
-     *  model or options.pinProcesses says so; Aot or options.aot
-     *  selects the AOT
+    /** Keeps its own copy of the netlist (cold data only).  Without
+     *  `partitioned` it runs one process; with it, it partitions into
+     *  at most options.numThreads processes (0 = hardware
+     *  concurrency) and keeps the partition if the cost model or
+     *  options.pinProcesses says so.  options.aot selects the AOT
      *  executor.  Direct construction degrades gracefully when the
-     *  AOT toolchain fails (see aot.hh); makeEvaluator is strict. */
+     *  AOT toolchain fails (see aot.hh); engine::create is strict. */
     explicit TapeEvaluator(Netlist netlist, const EvalOptions &options = {},
-                           EvalMode mode = EvalMode::Compiled);
+                           bool partitioned = false);
     ~TapeEvaluator() override;
 
     TapeEvaluator(const TapeEvaluator &) = delete;
@@ -273,61 +270,35 @@ class TapeEvaluator : public EvaluatorBase
     void awaitCommit();
     void recountActive();
 
-    // Rendezvous waits honouring the configured WaitPolicy: Spin
-    // spins with periodic yields; Block parks on _waitCv after a
-    // failed predicate check under _waitMx.  wake() is called after
-    // every counter bump that a blocked peer may be waiting on (the
-    // empty lock/unlock before notify_all closes the
-    // checked-then-parked race).
-    // The Spin paths are inline: they sit on the per-cycle rendezvous
-    // hot path; the Block (condvar) halves live out of line.
-    uint64_t
-    waitAbove(const std::atomic<uint64_t> &gen, uint64_t last) const
+    // Rendezvous waits: spin with periodic yields.  Inline: they sit
+    // on the per-cycle rendezvous hot path.
+    static uint64_t
+    waitAbove(const std::atomic<uint64_t> &gen, uint64_t last)
     {
-        if (_waitPolicy == WaitPolicy::Spin) {
-            // Spin-then-yield keeps oversubscribed (or single-core)
-            // hosts making progress, as in baseline's worker pool.
-            uint64_t v;
-            unsigned spins = 0;
-            while ((v = gen.load(std::memory_order_acquire)) == last) {
-                if (++spins > 256) {
-                    std::this_thread::yield();
-                    spins = 0;
-                }
+        // Spin-then-yield keeps oversubscribed (or single-core)
+        // hosts making progress, as in baseline's worker pool.
+        uint64_t v;
+        unsigned spins = 0;
+        while ((v = gen.load(std::memory_order_acquire)) == last) {
+            if (++spins > 256) {
+                std::this_thread::yield();
+                spins = 0;
             }
-            return v;
         }
-        return waitAboveBlocked(gen, last);
+        return v;
     }
 
-    void
-    waitCount(const std::atomic<uint64_t> &counter, uint64_t target) const
+    static void
+    waitCount(const std::atomic<uint64_t> &counter, uint64_t target)
     {
-        if (_waitPolicy == WaitPolicy::Spin) {
-            unsigned spins = 0;
-            while (counter.load(std::memory_order_acquire) < target) {
-                if (++spins > 256) {
-                    std::this_thread::yield();
-                    spins = 0;
-                }
+        unsigned spins = 0;
+        while (counter.load(std::memory_order_acquire) < target) {
+            if (++spins > 256) {
+                std::this_thread::yield();
+                spins = 0;
             }
-            return;
         }
-        waitCountBlocked(counter, target);
     }
-
-    void
-    wake() const // inline Spin no-op: the rendezvous hot path
-    {
-        if (_waitPolicy == WaitPolicy::Block)
-            wakeBlocked();
-    }
-
-    uint64_t waitAboveBlocked(const std::atomic<uint64_t> &gen,
-                              uint64_t last) const;
-    void waitCountBlocked(const std::atomic<uint64_t> &counter,
-                          uint64_t target) const;
-    void wakeBlocked() const;
 
     Netlist _netlist; ///< cold copy for name/width lookups only
     bool _partitioned;
@@ -350,7 +321,6 @@ class TapeEvaluator : public EvaluatorBase
     tape::Effects _effects;
     NetlistPartitionStats _stats;
     unsigned _numThreads = 1;
-    WaitPolicy _waitPolicy = WaitPolicy::Spin;
     unsigned _aotProcs = 0;
     unsigned _compilerRuns = 0;
 
@@ -375,8 +345,6 @@ class TapeEvaluator : public EvaluatorBase
                                       ///< ordering as _doCommit)
     uint64_t _computeTarget = 0; ///< master-only done-counter targets
     uint64_t _commitTarget = 0;
-    mutable std::mutex _waitMx;             ///< WaitPolicy::Block only
-    mutable std::condition_variable _waitCv;
     std::vector<std::thread> _pool;
 
     // Per-lane run state; _cycle is the engine-level (max-lane) view.

@@ -342,6 +342,15 @@ buildReplayDesign(const ReplayTrace &trace,
 
 // ---- the runner -----------------------------------------------------
 
+engine::CreateOptions
+subjectOptions()
+{
+    engine::CreateOptions options;
+    options.eval.numThreads = 2;
+    options.eval.pinProcesses = true;
+    return options;
+}
+
 ReplayResult
 replayOn(const ReplayTrace &trace, const netlist::Netlist &netlist,
          const std::string &engine_name)
@@ -378,7 +387,7 @@ replayOn(const ReplayTrace &trace, const netlist::Netlist &netlist,
         }
     }
 
-    engine::CreateOptions options;
+    engine::CreateOptions options = subjectOptions();
     options.lanes = trace.lanes;
     std::unique_ptr<engine::Engine> eng =
         engine::create(engine_name, netlist, options);

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "engine/engine.hh"
+#include "engine/registry.hh"
 #include "netlist/netlist.hh"
 
 namespace manticore::runtime {
@@ -141,12 +142,21 @@ struct ReplayResult
     std::string detail;      ///< first mismatch, human-readable
 };
 
+/** The options every differential subject is created with, by
+ *  fuzz_differential and by replayOn alike, so an artifact replays in
+ *  the configuration that recorded it: the parallel presets run
+ *  pinned at two processes, so random circuits (which the cost model
+ *  would mostly run as one process) still go through the two-barrier
+ *  rendezvous.  The other engines ignore both fields. */
+engine::CreateOptions subjectOptions();
+
 /** Re-execute a trace on one registry engine over the (already
- *  rebuilt) design.  Engines that cannot run the artifact are
- *  SKIPPED, not fataled: unavailable engines (netlist.aot without a
- *  toolchain), multi-lane traces on engines without an ensemble
- *  mode, and poke-carrying traces on engines without free inputs
- *  (the ISA-level engines compile inputs away). */
+ *  rebuilt) design, created with subjectOptions().  Engines that
+ *  cannot run the artifact are SKIPPED, not fataled: unavailable
+ *  engines (netlist.aot without a toolchain), multi-lane traces on
+ *  engines without an ensemble mode, and poke-carrying traces on
+ *  engines without free inputs (the ISA-level engines compile inputs
+ *  away). */
 ReplayResult replayOn(const ReplayTrace &trace,
                       const netlist::Netlist &netlist,
                       const std::string &engine_name);

@@ -38,12 +38,12 @@ Simulation::Simulation(const netlist::Netlist &netlist,
 
 Simulation::Simulation(const netlist::Netlist &netlist,
                        const compiler::CompileOptions &options,
-                       netlist::EvalMode golden_mode,
+                       const std::string &golden_engine,
                        const netlist::EvalOptions &golden_options)
     : Simulation(netlist, options)
 {
     _netlist = netlist;
-    _goldenMode = golden_mode;
+    _goldenEngine = golden_engine;
     _goldenOptions = golden_options;
 }
 
@@ -68,26 +68,22 @@ Simulation::runCrossChecked(uint64_t max_vcycles)
 {
     MANTICORE_ASSERT(_netlist.has_value(),
                      "runCrossChecked requires constructing Simulation "
-                     "with a golden EvalMode");
+                     "with a golden engine");
     if (!_golden) {
         engine::CreateOptions options;
         options.eval = _goldenOptions;
-        _golden = engine::create(
-            std::string("netlist.") + netlist::evalModeName(_goldenMode),
-            *_netlist, options);
+        _golden = engine::create(_goldenEngine, *_netlist, options);
     }
     return crossCheckAgainst(*_golden, max_vcycles);
 }
 
 isa::RunStatus
-Simulation::runIsaCrossChecked(uint64_t max_vcycles, isa::ExecMode mode)
+Simulation::runIsaCrossChecked(uint64_t max_vcycles,
+                               const std::string &engine_name)
 {
-    if (!_isaGolden || _isaGoldenMode != mode) {
-        _isaGoldenMode = mode;
-        _isaGolden = engine::create(
-            std::string("isa.") + isa::execModeName(mode),
-            _compiled.program, _config, _signals);
-    }
+    if (!_isaGolden || engine_name != _isaGolden->name())
+        _isaGolden = engine::create(engine_name, _compiled.program,
+                                    _config, _signals);
     return crossCheckAgainst(*_isaGolden, max_vcycles);
 }
 
@@ -98,7 +94,7 @@ Simulation::runEnsembleCrossChecked(uint64_t max_vcycles, unsigned lanes,
 {
     MANTICORE_ASSERT(_netlist.has_value(),
                      "runEnsembleCrossChecked requires constructing "
-                     "Simulation with a golden EvalMode");
+                     "Simulation with a golden engine");
     engine::CreateOptions subject_options;
     subject_options.lanes = lanes;
     subject_options.eval = _goldenOptions;
@@ -106,17 +102,16 @@ Simulation::runEnsembleCrossChecked(uint64_t max_vcycles, unsigned lanes,
     std::unique_ptr<engine::Engine> subject =
         engine::create(subject_engine, *_netlist, subject_options);
 
-    // One independent scalar golden run per lane, in the configured
-    // golden mode.
+    // One independent scalar golden run per lane, on the configured
+    // golden engine.
     engine::CreateOptions golden_options;
     golden_options.eval = _goldenOptions;
     golden_options.eval.lanes = 1; // goldens are scalar by definition
     std::vector<std::unique_ptr<engine::Engine>> goldens;
     std::vector<engine::Engine *> golden_ptrs;
     for (unsigned l = 0; l < lanes; ++l) {
-        goldens.push_back(engine::create(
-            std::string("netlist.") + netlist::evalModeName(_goldenMode),
-            *_netlist, golden_options));
+        goldens.push_back(
+            engine::create(_goldenEngine, *_netlist, golden_options));
         golden_ptrs.push_back(goldens.back().get());
     }
 

@@ -13,9 +13,9 @@
  * netlist evaluator, runIsaCrossChecked() against a functional ISA
  * interpreter on the same compiled program.  Both are thin wrappers
  * over the generic engine::CrossCheck harness — the machine is the
- * subject engine, the golden engine is selectable (EvalMode /
- * ExecMode), and the first mismatch is reported with its cycle and
- * signal through divergence().
+ * subject engine, the golden engine is selectable by registry name,
+ * and the first mismatch is reported with its cycle and signal
+ * through divergence().
  */
 
 #ifndef MANTICORE_RUNTIME_SIMULATION_HH
@@ -44,13 +44,13 @@ class Simulation
                const compiler::CompileOptions &options = {});
 
     /** Cross-checkable simulation: keeps a copy of the netlist and
-     *  builds a golden-model evaluator of the given mode lazily on
-     *  the first runCrossChecked call.
+     *  builds the golden engine, a netlist-level registry name
+     *  (engine::create), lazily on the first runCrossChecked call.
      *  @param golden_options engine options (thread count / merge
-     *  algorithm for EvalMode::Parallel). */
+     *  algorithm for netlist.parallel*). */
     Simulation(const netlist::Netlist &netlist,
                const compiler::CompileOptions &options,
-               netlist::EvalMode golden_mode,
+               const std::string &golden_engine,
                const netlist::EvalOptions &golden_options = {});
 
     /** Simulate up to max_vcycles RTL cycles. */
@@ -60,28 +60,28 @@ class Simulation
      *  golden-model evaluator in lockstep (engine::CrossCheck),
      *  comparing engine status and every RTL register at each Vcycle
      *  boundary.  Returns Failed (with divergence() set) at the first
-     *  mismatch.  Requires construction with a golden EvalMode. */
+     *  mismatch.  Requires construction with a golden engine. */
     isa::RunStatus runCrossChecked(uint64_t max_vcycles);
 
     /** Simulate up to max_vcycles RTL cycles with the machine and a
-     *  functional ISA interpreter (on the same compiled program) in
-     *  lockstep.  Available on any Simulation (no netlist copy
-     *  needed). */
+     *  functional ISA interpreter (`engine_name`: isa.reference or
+     *  isa.tape, on the same compiled program) in lockstep.
+     *  Available on any Simulation (no netlist copy needed). */
     isa::RunStatus
     runIsaCrossChecked(uint64_t max_vcycles,
-                       isa::ExecMode mode = isa::ExecMode::Tape);
+                       const std::string &engine_name = "isa.tape");
 
     /** Validate an N-lane ensemble engine of this design: build
      *  `subject_engine` ("netlist.parallel" or "netlist.compiled")
      *  with `lanes` lanes plus `lanes` independent scalar golden
-     *  runs of the configured golden EvalMode, drive each lane's
+     *  runs of the configured golden engine, drive each lane's
      *  stimulus through `stimulus` (optional; closed designs
      *  self-drive), and lockstep-compare every lane — status, cycle
      *  counts, failure messages and every RTL register — including
      *  divergent per-lane finish/assert cycles
      *  (engine::EnsembleCrossCheck).  Returns Failed with
      *  divergence() set at the first mismatch.  Requires
-     *  construction with a golden EvalMode. */
+     *  construction with a golden engine. */
     isa::RunStatus runEnsembleCrossChecked(
         uint64_t max_vcycles, unsigned lanes,
         const engine::LaneStimulus &stimulus = {},
@@ -90,9 +90,9 @@ class Simulation
     /** Description of the first cross-check mismatch; empty if none. */
     const std::string &divergence() const { return _divergence; }
 
-    /** Engine configured for cross-checks; meaningless (Reference)
-     *  when constructed without one. */
-    netlist::EvalMode goldenMode() const { return _goldenMode; }
+    /** Registry name of the golden engine configured for
+     *  cross-checks; empty when constructed without one. */
+    const std::string &goldenEngine() const { return _goldenEngine; }
 
     isa::RunStatus status() const { return _machine->status(); }
     uint64_t vcycles() const { return _machine->perf().vcycles; }
@@ -124,7 +124,7 @@ class Simulation
     std::optional<netlist::Netlist> _netlist;
     compiler::CompileResult _compiled;
     isa::MachineConfig _config;
-    netlist::EvalMode _goldenMode = netlist::EvalMode::Reference;
+    std::string _goldenEngine;
     netlist::EvalOptions _goldenOptions;
     std::unique_ptr<machine::Machine> _machine;
     /// RTL register observation table (names / widths / chunk homes).
@@ -135,7 +135,6 @@ class Simulation
     /// Lazily-created golden engines (netlist- and ISA-level).
     std::unique_ptr<engine::Engine> _golden;
     std::unique_ptr<engine::Engine> _isaGolden;
-    isa::ExecMode _isaGoldenMode = isa::ExecMode::Tape;
     std::string _divergence;
 };
 

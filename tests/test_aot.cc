@@ -24,7 +24,6 @@
 #include "random_circuit.hh"
 
 using namespace manticore;
-using netlist::EvalMode;
 using netlist::EvalOptions;
 using netlist::MemId;
 using netlist::Netlist;
@@ -58,6 +57,7 @@ EvalOptions
 aotOptions(const std::string &cache_dir)
 {
     EvalOptions options;
+    options.aot = true;
     options.aotCacheDir = cache_dir;
     return options;
 }
@@ -127,7 +127,7 @@ TEST(AotEvaluator, RandomizedDifferentialAgainstTheInterpretedTape)
         Netlist nl = gen.build();
         SCOPED_TRACE("seed " + std::to_string(seed));
         TapeEvaluator tape(nl);
-        TapeEvaluator aot(nl, options, EvalMode::Aot);
+        TapeEvaluator aot(nl, options);
         ASSERT_TRUE(aot.usingAot()) << "fell back to the interpreter";
         runLockstep(nl, tape, aot, gen.inputWidths(), seed, 48);
     }
@@ -140,12 +140,12 @@ TEST(AotEvaluator, SecondConstructionHitsTheCache)
     EvalOptions options = aotOptions(freshCacheDir("hit"));
     Netlist nl = cachedDesign();
 
-    TapeEvaluator cold(nl, options, EvalMode::Aot);
+    TapeEvaluator cold(nl, options);
     ASSERT_TRUE(cold.usingAot());
     EXPECT_FALSE(cold.cacheHit());
     EXPECT_GE(cold.compilerInvocations(), 1u);
 
-    TapeEvaluator warm(nl, options, EvalMode::Aot);
+    TapeEvaluator warm(nl, options);
     ASSERT_TRUE(warm.usingAot());
     EXPECT_TRUE(warm.cacheHit());
     EXPECT_EQ(warm.compilerInvocations(), 0u);
@@ -166,7 +166,7 @@ TEST(AotEvaluator, CorruptedCacheEntryIsRebuilt)
 
     std::string object_path;
     {
-        TapeEvaluator cold(nl, options, EvalMode::Aot);
+        TapeEvaluator cold(nl, options);
         ASSERT_TRUE(cold.usingAot());
         object_path = cold.objectPath();
     }
@@ -178,7 +178,7 @@ TEST(AotEvaluator, CorruptedCacheEntryIsRebuilt)
         std::fputs("not an ELF object", f);
         std::fclose(f);
     }
-    TapeEvaluator rebuilt(nl, options, EvalMode::Aot);
+    TapeEvaluator rebuilt(nl, options);
     ASSERT_TRUE(rebuilt.usingAot());
     EXPECT_FALSE(rebuilt.cacheHit());
     EXPECT_GE(rebuilt.compilerInvocations(), 1u);
@@ -195,7 +195,7 @@ TEST(AotEvaluator, MissingCompilerFallsBackToTheInterpretedTape)
     options.aotCompiler = "/nonexistent/manticore-bogus-c++";
     Netlist nl = cachedDesign();
 
-    TapeEvaluator fallback(nl, options, EvalMode::Aot);
+    TapeEvaluator fallback(nl, options);
     EXPECT_FALSE(fallback.usingAot());
     EXPECT_EQ(fallback.compilerInvocations(), 0u);
     EXPECT_FALSE(fallback.cacheHit());
@@ -206,15 +206,15 @@ TEST(AotEvaluator, MissingCompilerFallsBackToTheInterpretedTape)
 
 TEST(AotEvaluator, FactoryIsStrictAboutAMissingToolchain)
 {
-    // makeEvaluator / the registry are the "asked for AOT by name"
-    // path: no silent fallback, a fatal naming the probed toolchain.
+    // The registry is the "asked for AOT by name" path: no silent
+    // fallback, a fatal naming the probed toolchain.
     Netlist nl = cachedDesign();
-    EvalOptions options = aotOptions(freshCacheDir("strict"));
-    options.aotCompiler = "/nonexistent/manticore-bogus-c++";
-    EXPECT_EXIT(
-        netlist::makeEvaluator(nl, netlist::EvalMode::Aot, options),
-        ::testing::ExitedWithCode(1),
-        "netlist.aot needs a working host C\\+\\+ compiler");
+    engine::CreateOptions options;
+    options.eval = aotOptions(freshCacheDir("strict"));
+    options.eval.aotCompiler = "/nonexistent/manticore-bogus-c++";
+    EXPECT_EXIT(engine::create("netlist.aot", nl, options),
+                ::testing::ExitedWithCode(1),
+                "netlist.aot needs a working host C\\+\\+ compiler");
 }
 
 TEST(AotEvaluator, EmittedSourceIsSelfDescribing)
@@ -223,7 +223,7 @@ TEST(AotEvaluator, EmittedSourceIsSelfDescribing)
     EvalOptions options = aotOptions(freshCacheDir("emit"));
     options.aotCompiler = "/nonexistent/manticore-bogus-c++";
     // Fallback: no compile needed.
-    TapeEvaluator eval(nl, options, EvalMode::Aot);
+    TapeEvaluator eval(nl, options);
     std::string src = eval.emitSource();
     EXPECT_NE(src.find("manticore_aot_cycle"), std::string::npos);
     EXPECT_NE(src.find("support/limbops.hh"), std::string::npos);

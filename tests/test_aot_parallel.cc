@@ -33,7 +33,6 @@
 #include "random_circuit.hh"
 
 using namespace manticore;
-using netlist::EvalMode;
 using netlist::EvalOptions;
 using netlist::EvaluatorBase;
 using netlist::MemId;
@@ -245,7 +244,7 @@ TEST(AotParallelEvaluator, DeterministicAcrossThreadAndPartitionCounts)
         SCOPED_TRACE("numThreads " + std::to_string(threads));
         TapeEvaluator tape(nl);
         TapeEvaluator aot(nl, parallelAotOptions(cache, threads),
-                          EvalMode::Parallel);
+                          /*partitioned=*/true);
         ASSERT_TRUE(aot.usingAot()) << "fell back to the interpreter";
         EXPECT_EQ(aot.aotPartitions(), aot.numProcesses());
         runLockstep(nl, tape, aot, {}, threads, 80);
@@ -260,13 +259,13 @@ TEST(AotParallelEvaluator, SecondConstructionHitsEveryPartitionObject)
     Netlist nl = designs::buildMm(64);
     EvalOptions options = parallelAotOptions(cache);
 
-    TapeEvaluator cold(nl, options, EvalMode::Parallel);
+    TapeEvaluator cold(nl, options, /*partitioned=*/true);
     ASSERT_TRUE(cold.usingAot());
     EXPECT_FALSE(cold.cacheHit());
     // One combined compile per partition on a cold start.
     EXPECT_EQ(cold.compilerInvocations(), cold.numProcesses());
 
-    TapeEvaluator warm(nl, options, EvalMode::Parallel);
+    TapeEvaluator warm(nl, options, /*partitioned=*/true);
     ASSERT_TRUE(warm.usingAot());
     EXPECT_TRUE(warm.cacheHit());
     EXPECT_EQ(warm.compilerInvocations(), 0u);
@@ -291,7 +290,7 @@ TEST(AotParallelEvaluator, CorruptedPartitionObjectRebuildsOnlyItself)
     std::string victim;
     size_t parts = 0;
     {
-        TapeEvaluator cold(nl, options, EvalMode::Parallel);
+        TapeEvaluator cold(nl, options, /*partitioned=*/true);
         ASSERT_TRUE(cold.usingAot());
         parts = cold.numProcesses();
         victim = cold.objectPath(parts - 1);
@@ -307,7 +306,7 @@ TEST(AotParallelEvaluator, CorruptedPartitionObjectRebuildsOnlyItself)
         std::fputs("not an ELF object", f);
         std::fclose(f);
     }
-    TapeEvaluator rebuilt(nl, options, EvalMode::Parallel);
+    TapeEvaluator rebuilt(nl, options, /*partitioned=*/true);
     ASSERT_TRUE(rebuilt.usingAot());
     EXPECT_FALSE(rebuilt.cacheHit());
     EXPECT_EQ(rebuilt.compilerInvocations(), 1u);
@@ -325,7 +324,7 @@ TEST(AotParallelEvaluator, MissingCompilerFallsBackToTheInterpretedTape)
     EvalOptions options = parallelAotOptions(freshCacheDir("fallback"));
     options.aotCompiler = "/nonexistent/manticore-bogus-c++";
 
-    TapeEvaluator fallback(nl, options, EvalMode::Parallel);
+    TapeEvaluator fallback(nl, options, /*partitioned=*/true);
     EXPECT_FALSE(fallback.usingAot());
     EXPECT_EQ(fallback.aotPartitions(), 0u);
     EXPECT_EQ(fallback.compilerInvocations(), 0u);
@@ -336,19 +335,20 @@ TEST(AotParallelEvaluator, MissingCompilerFallsBackToTheInterpretedTape)
     EvalOptions plain;
     plain.numThreads = options.numThreads;
     plain.pinProcesses = true;
-    TapeEvaluator interpreted(nl, plain, EvalMode::Parallel);
+    TapeEvaluator interpreted(nl, plain, /*partitioned=*/true);
     runLockstep(nl, interpreted, fallback, {}, 13, 48);
 }
 
 TEST(AotParallelEvaluator, FactoryIsStrictAboutAMissingToolchain)
 {
-    // makeEvaluator / the registry are the "asked for AOT by name"
-    // path: no silent fallback, a fatal naming the probed toolchain.
+    // The registry is the "asked for AOT by name" path: no silent
+    // fallback, a fatal naming the probed toolchain.
     Netlist nl = designs::buildMm(64);
-    EvalOptions options = parallelAotOptions(freshCacheDir("strict"));
-    options.aotCompiler = "/nonexistent/manticore-bogus-c++";
+    engine::CreateOptions options;
+    options.eval = parallelAotOptions(freshCacheDir("strict"));
+    options.eval.aotCompiler = "/nonexistent/manticore-bogus-c++";
     EXPECT_EXIT(
-        netlist::makeEvaluator(nl, netlist::EvalMode::Parallel, options),
+        engine::create("netlist.parallel.aot", nl, options),
         ::testing::ExitedWithCode(1),
         "netlist.parallel.aot needs a working host C\\+\\+ compiler");
 }

@@ -12,6 +12,7 @@
 #include "designs/designs.hh"
 #include "netlist/builder.hh"
 #include "netlist/evaluator.hh"
+#include "netlist/tape_evaluator.hh"
 
 using namespace manticore;
 
@@ -36,10 +37,10 @@ TEST(Baseline, SerialMatchesReferenceEvaluator)
 TEST(Baseline, SerialMatchesCompiledTapeEvaluator)
 {
     // Same check as above but against the zero-allocation tape
-    // engine via the common factory, so the two compiled execution
-    // paths (baseline word ops, netlist tape) cross-validate.
+    // engine, so the two compiled execution paths (baseline word ops,
+    // netlist tape) cross-validate.
     netlist::Netlist nl = designs::buildCgra(128);
-    auto ref = netlist::makeEvaluator(nl, netlist::EvalMode::Compiled);
+    auto ref = std::make_unique<netlist::TapeEvaluator>(nl);
     baseline::CompiledDesign design(nl);
     baseline::SerialSimulator sim(design);
     for (int c = 0; c < 64; ++c) {

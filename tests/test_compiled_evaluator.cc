@@ -174,8 +174,8 @@ TEST(CompiledEvaluator, FactoryBuildsBothModes)
     b.finish(counter.read() == b.lit(16, 20));
     Netlist nl = b.build();
 
-    auto ref = netlist::makeEvaluator(nl, netlist::EvalMode::Reference);
-    auto tape = netlist::makeEvaluator(nl, netlist::EvalMode::Compiled);
+    auto ref = std::make_unique<netlist::Evaluator>(nl);
+    auto tape = std::make_unique<TapeEvaluator>(nl);
     EXPECT_EQ(ref->run(100), SimStatus::Finished);
     EXPECT_EQ(tape->run(100), SimStatus::Finished);
     EXPECT_EQ(ref->cycle(), tape->cycle());

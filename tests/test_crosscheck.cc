@@ -12,7 +12,7 @@
 
 #include "engine/crosscheck.hh"
 #include "engine/registry.hh"
-#include "isa/interpreter.hh"
+#include "isa/tape_interpreter.hh"
 #include "netlist/builder.hh"
 
 using namespace manticore;
@@ -191,8 +191,8 @@ TEST(CrossCheck, RefusesEnginesWithoutCommonSignals)
     compiler::CompileOptions copts;
     copts.config.gridX = copts.config.gridY = 2;
     compiler::CompileResult cr = compiler::compile(design, copts);
-    auto interp = isa::makeInterpreter(cr.program, copts.config,
-                                       isa::ExecMode::Tape);
+    auto interp = std::make_unique<isa::TapeInterpreter>(cr.program,
+                                                         copts.config);
     // A borrowed interpreter without a signal table has no probes.
     engine::IsaEngine probeless = engine::wrap(*interp);
     auto golden = engine::create("netlist.reference", design);

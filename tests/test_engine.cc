@@ -5,11 +5,14 @@
  * engine::Engine interface — same probes, same display transcript,
  * same finish cycle — and batched step(n) is cycle-exact with n
  * calls of step(1) on every engine.  Also covers the satellite
- * guarantees: mode-name round trips, handle-based inputs, and the
- * name-listing diagnostics for unknown engines / inputs / signals.
+ * guarantees: each netlist-level name builds its preset, handle-based
+ * inputs, and the name-listing diagnostics for unknown engines /
+ * inputs / signals.
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "designs/designs.hh"
 #include "engine/crosscheck.hh"
@@ -99,45 +102,31 @@ TEST(EngineRegistry, ListsAllEightEngines)
     }
 }
 
-TEST(EngineRegistry, ModeNamesRoundTrip)
+TEST(EngineRegistry, NetlistNamesBuildTheirPreset)
 {
-    using netlist::EvalMode;
-    for (EvalMode mode : {EvalMode::Reference, EvalMode::Compiled,
-                          EvalMode::Parallel, EvalMode::Aot}) {
-        EvalMode parsed;
-        ASSERT_TRUE(netlist::parseEvalMode(netlist::evalModeName(mode),
-                                           parsed));
-        EXPECT_EQ(parsed, mode);
-    }
-    using isa::ExecMode;
-    for (ExecMode mode : {ExecMode::Reference, ExecMode::Tape}) {
-        ExecMode parsed;
-        ASSERT_TRUE(
-            isa::parseExecMode(isa::execModeName(mode), parsed));
-        EXPECT_EQ(parsed, mode);
-    }
-    netlist::EvalMode em;
-    isa::ExecMode xm;
-    EXPECT_FALSE(netlist::parseEvalMode("Tape", em));
-    EXPECT_FALSE(netlist::parseEvalMode("", em));
-    EXPECT_FALSE(isa::parseExecMode("parallel", xm));
-
-    // Registry names round-trip through create()->name(), and the
-    // netlist-level names are exactly "netlist." + evalModeName —
-    // except netlist.parallel.aot, a registry-only variant (EvalMode
-    // Parallel plus EvalOptions::aot), which has no EvalMode of its
-    // own by design.
+    // Every netlist-level name builds the preset its name says: the
+    // AOT executor's stats appear exactly on the cap::kAotCompiled
+    // names, the partition's stats exactly on netlist.parallel*, and
+    // name() round-trips.
+    netlist::Netlist design = counterDesign(20);
     for (const engine::EngineInfo &info : engine::list()) {
-        if (!info.netlistLevel)
+        if (!info.netlistLevel || !info.available)
             continue;
-        if (std::string(info.name) == "netlist.parallel.aot")
-            continue;
-        netlist::EvalMode mode;
-        ASSERT_TRUE(netlist::parseEvalMode(
-            std::string(info.name).substr(8), mode))
-            << info.name;
-        EXPECT_EQ(std::string("netlist.") + netlist::evalModeName(mode),
-                  info.name);
+        SCOPED_TRACE(info.name);
+        std::unique_ptr<engine::Engine> eng =
+            engine::create(info.name, design, smallGrid());
+        EXPECT_STREQ(eng->name(), info.name);
+        std::set<std::string> stats;
+        for (const engine::Stat &s : eng->stats())
+            stats.insert(s.name);
+        const size_t aot = (info.caps & engine::cap::kAotCompiled) != 0;
+        const size_t parallel =
+            std::string(info.name).rfind("netlist.parallel", 0) == 0;
+        for (const char *stat :
+             {"aot_active", "aot_cache_hit", "aot_compiler_runs"})
+            EXPECT_EQ(stats.count(stat), aot) << stat;
+        EXPECT_EQ(stats.count("processes"), parallel);
+        EXPECT_EQ(stats.count("threads"), parallel);
     }
 }
 
@@ -332,8 +321,8 @@ TEST(EngineDiagnostics, CapabilityViolationsNameTheEngine)
     compiler::CompileOptions copts;
     copts.config.gridX = copts.config.gridY = 2;
     compiler::CompileResult cr = compiler::compile(design, copts);
-    auto interp = isa::makeInterpreter(cr.program, copts.config,
-                                       isa::ExecMode::Reference);
+    auto interp = std::make_unique<isa::Interpreter>(cr.program,
+                                                     copts.config);
     engine::IsaEngine eng = engine::wrap(*interp);
     EXPECT_FALSE(eng.has(engine::cap::kProbes));
     EXPECT_EXIT(eng.probe("cyc"), ::testing::ExitedWithCode(1),

@@ -6,9 +6,9 @@
  * divergent per-lane finish/assert cycles, display transcripts and
  * failure messages.  Also covers the satellite guarantees: lane-0
  * API compatibility at lanes=1, broadcast vs lane-indexed stimulus,
- * batched step(n) exactness on ensembles, the blocking rendezvous
- * wait policy, aggregated stats / RunResult::lanes, and the
- * registry's rejection of lanes on non-ensemble engines.
+ * batched step(n) exactness on ensembles, aggregated stats /
+ * RunResult::lanes, and the registry's rejection of lanes on
+ * non-ensemble engines.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "engine/registry.hh"
 #include "netlist/builder.hh"
 #include "netlist/evaluator.hh"
+#include "netlist/tape_evaluator.hh"
 #include "support/rng.hh"
 #include "runtime/simulation.hh"
 #include "runtime/waveform.hh"
@@ -104,16 +105,13 @@ makeGoldens(const netlist::Netlist &nl, unsigned lanes,
  *  counts, failure messages and display transcripts. */
 void
 runRandomDifferential(const std::string &subject_name, unsigned lanes,
-                      uint64_t seed, uint64_t horizon,
-                      netlist::WaitPolicy wait_policy =
-                          netlist::WaitPolicy::Spin)
+                      uint64_t seed, uint64_t horizon)
 {
     manticore::testing::RandomCircuit rc(seed);
     netlist::Netlist nl = rc.build();
 
-    engine::CreateOptions sopts = ensembleOptions(lanes);
-    sopts.eval.waitPolicy = wait_policy;
-    auto subject = engine::create(subject_name, nl, sopts);
+    auto subject =
+        engine::create(subject_name, nl, ensembleOptions(lanes));
     EXPECT_EQ(subject->lanes(), lanes);
     EXPECT_EQ(subject->has(engine::cap::kEnsemble), lanes > 1);
 
@@ -165,16 +163,6 @@ TEST(Ensemble, RandomDifferentialEveryLaneCount)
         for (unsigned lanes : {1u, 2u, 7u, 16u})
             for (uint64_t seed : {11ull, 23ull, 37ull})
                 runRandomDifferential(name, lanes, seed, 150);
-}
-
-TEST(Ensemble, RandomDifferentialBlockingWaitPolicy)
-{
-    // The condvar rendezvous must be exactly as cycle-exact (and, in
-    // the sanitized configs, as race-free) as the spinning one.
-    for (unsigned lanes : {1u, 4u})
-        for (uint64_t seed : {11ull, 23ull})
-            runRandomDifferential("netlist.parallel", lanes, seed, 150,
-                                  netlist::WaitPolicy::Block);
 }
 
 TEST(Ensemble, DivergentFinishCyclesFreezeOnlyTheirLane)
@@ -373,7 +361,7 @@ TEST(Ensemble, SimulationEnsembleCrossCheck)
 
     compiler::CompileOptions copts;
     copts.config.gridX = copts.config.gridY = 2;
-    runtime::Simulation sim(nl, copts, netlist::EvalMode::Compiled);
+    runtime::Simulation sim(nl, copts, "netlist.compiled");
     isa::RunStatus status = sim.runEnsembleCrossChecked(100, 4);
     EXPECT_EQ(status, isa::RunStatus::Finished) << sim.divergence();
     EXPECT_TRUE(sim.divergence().empty()) << sim.divergence();
@@ -438,10 +426,10 @@ TEST(Ensemble, LaneAccessorsRejectPaddedLanes)
     opts.numThreads = 2;
     opts.pinProcesses = true;
     opts.lanes = 3;
-    for (netlist::EvalMode mode :
-         {netlist::EvalMode::Compiled, netlist::EvalMode::Parallel}) {
-        SCOPED_TRACE(netlist::evalModeName(mode));
-        auto eval = netlist::makeEvaluator(nl, mode, opts);
+    for (bool partitioned : {false, true}) {
+        SCOPED_TRACE(partitioned ? "parallel" : "compiled");
+        auto eval =
+            std::make_unique<netlist::TapeEvaluator>(nl, opts, partitioned);
         ASSERT_EQ(eval->lanes(), 3u);
         EXPECT_DEATH(eval->regValueLane(3, 0), "bad lane 3");
         EXPECT_DEATH(eval->driveInputLane(3, x, BitVector(16, 1)),

@@ -359,7 +359,9 @@ singleProcess(std::vector<Instruction> body,
     return p;
 }
 
-class BothEngines : public ::testing::TestWithParam<isa::ExecMode>
+/** Parameter: true runs the flat-tape interpreter, false the
+ *  reference one. */
+class BothEngines : public ::testing::TestWithParam<bool>
 {
   protected:
     isa::MachineConfig cfg()
@@ -367,6 +369,14 @@ class BothEngines : public ::testing::TestWithParam<isa::ExecMode>
         isa::MachineConfig c;
         c.gridX = c.gridY = 1;
         return c;
+    }
+
+    std::unique_ptr<isa::InterpreterBase>
+    build(const Program &p, const isa::MachineConfig &c)
+    {
+        if (GetParam())
+            return std::make_unique<isa::TapeInterpreter>(p, c);
+        return std::make_unique<isa::Interpreter>(p, c);
     }
 };
 
@@ -381,7 +391,7 @@ TEST_P(BothEngines, BatchedCarryChainSemantics)
          make(Opcode::Addc, 11, 10, 0, 10)},
         {{0, 0}, {1, 0xffff}, {2, 3}});
     auto c = cfg();
-    auto interp = isa::makeInterpreter(p, c, GetParam());
+    auto interp = build(p, c);
     interp->stepVcycle();
     // r10 = 0x0002 carry 1; r11 = r10(new) + 0 + carry = 3.
     EXPECT_EQ(interp->regValue(0, 10), 2u);
@@ -396,7 +406,7 @@ TEST_P(BothEngines, BatchedBorrowChainSemantics)
          make(Opcode::Subb, 11, 0, 0, 10)},
         {{0, 0}, {1, 1}});
     auto c = cfg();
-    auto interp = isa::makeInterpreter(p, c, GetParam());
+    auto interp = build(p, c);
     interp->stepVcycle();
     EXPECT_EQ(interp->regValue(0, 10), 0xffffu);
     EXPECT_EQ(interp->regValue(0, 11), 0xffffu);
@@ -411,7 +421,7 @@ TEST_P(BothEngines, MulPairAndDependentMovRun)
          make(Opcode::Mov, 12, 10), make(Opcode::Mov, 13, 12)},
         {{1, 0x1234}, {2, 0x5678}});
     auto c = cfg();
-    auto interp = isa::makeInterpreter(p, c, GetParam());
+    auto interp = build(p, c);
     interp->stepVcycle();
     uint32_t full = 0x1234u * 0x5678u;
     EXPECT_EQ(interp->regValue(0, 10), full & 0xffff);
@@ -433,7 +443,7 @@ TEST_P(BothEngines, PredicationSliceAndScratchAgree)
               Instruction::packSlice(4, 8))},
         {{0, 0}, {1, 1}, {2, 100}, {5, 0x7777}});
     auto c = cfg();
-    auto interp = isa::makeInterpreter(p, c, GetParam());
+    auto interp = build(p, c);
     interp->stepVcycle();
     EXPECT_EQ(interp->regValue(0, 10), 0u);
     EXPECT_EQ(interp->regValue(0, 11), 0x7777u);
@@ -464,7 +474,7 @@ TEST_P(BothEngines, SendPresizesTargetRegisterFile)
     isa::MachineConfig c;
     c.gridX = 2;
     c.gridY = 1;
-    auto interp = isa::makeInterpreter(p, c, GetParam());
+    auto interp = build(p, c);
     interp->stepVcycle();
     EXPECT_EQ(interp->regValue(1, 50), 0xbeefu);
 
@@ -483,7 +493,7 @@ TEST_P(BothEngines, ExpectFailAbortExactness)
               0x5555)},
         {{0, 0}, {1, 5}}, true);
     auto c = cfg();
-    auto interp = isa::makeInterpreter(p, c, GetParam());
+    auto interp = build(p, c);
     uint16_t seen = 0;
     interp->onException = [&](uint32_t, uint16_t eid) {
         seen = eid;
@@ -497,12 +507,10 @@ TEST_P(BothEngines, ExpectFailAbortExactness)
     EXPECT_EQ(interp->vcycle(), 0u);        // Vcycle did not complete
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, BothEngines,
-                         ::testing::Values(isa::ExecMode::Reference,
-                                           isa::ExecMode::Tape),
+INSTANTIATE_TEST_SUITE_P(Modes, BothEngines, ::testing::Bool(),
                          [](const auto &info) {
-                             return std::string(
-                                 isa::execModeName(info.param));
+                             return std::string(info.param ? "tape"
+                                                           : "reference");
                          });
 
 TEST(TapeInterpreter, ElidesNopsAndBatchesRunsOnCompiledDesigns)
@@ -537,10 +545,10 @@ TEST(TapeInterpreter, MatchesReferenceOnCompiledDesignEveryVcycle)
     opts.config.gridX = opts.config.gridY = 2;
     compiler::CompileResult result = compiler::compile(nl, opts);
 
-    auto ref = isa::makeInterpreter(result.program, opts.config,
-                                    isa::ExecMode::Reference);
-    auto tape = isa::makeInterpreter(result.program, opts.config,
-                                     isa::ExecMode::Tape);
+    auto ref =
+        std::make_unique<isa::Interpreter>(result.program, opts.config);
+    auto tape = std::make_unique<isa::TapeInterpreter>(result.program,
+                                                       opts.config);
     runtime::Host rhost(result.program, ref->globalMemory());
     rhost.attach(engine::wrap(*ref));
     runtime::Host thost(result.program, tape->globalMemory());
@@ -564,8 +572,7 @@ TEST(SimulationIsaCrossCheck, MachineMatchesBothInterpreterModes)
     compiler::CompileOptions opts;
     opts.config.gridX = opts.config.gridY = 3;
 
-    for (isa::ExecMode mode :
-         {isa::ExecMode::Reference, isa::ExecMode::Tape}) {
+    for (const char *mode : {"isa.reference", "isa.tape"}) {
         runtime::Simulation sim(nl, opts);
         isa::RunStatus st = sim.runIsaCrossChecked(40, mode);
         EXPECT_NE(st, isa::RunStatus::Failed) << sim.divergence();

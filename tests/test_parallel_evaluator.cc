@@ -37,7 +37,6 @@
 #include "runtime/waveform.hh"
 
 using namespace manticore;
-using netlist::EvalMode;
 using netlist::EvalOptions;
 using netlist::Evaluator;
 using netlist::MemId;
@@ -61,7 +60,7 @@ runDifferential(const Netlist &nl,
                 unsigned cycles, const EvalOptions &options)
 {
     Evaluator ref(nl);
-    TapeEvaluator par(nl, options, EvalMode::Parallel);
+    TapeEvaluator par(nl, options, /*partitioned=*/true);
     Rng drive(seed ^ 0xd1ffe7e57ull);
 
     for (unsigned c = 0; c < cycles; ++c) {
@@ -102,7 +101,7 @@ runDifferential(const Netlist &nl,
 std::string
 sampledVcd(const Netlist &nl, const EvalOptions &options, unsigned cycles)
 {
-    TapeEvaluator par(nl, options, EvalMode::Parallel);
+    TapeEvaluator par(nl, options, /*partitioned=*/true);
     runtime::WaveformRecorder rec(nl);
     for (unsigned c = 0; c < cycles && par.status() == SimStatus::Ok;
          ++c) {
@@ -159,9 +158,10 @@ TEST(ParallelEvaluator, DesignChecksumsPass)
         for (const designs::Benchmark &bm : designs::allBenchmarks()) {
             if (bm.name != name)
                 continue;
-            auto par = netlist::makeEvaluator(
-                bm.build(bm.defaultCheckCycles), EvalMode::Parallel,
-                {4, MergeAlgo::Balanced, true});
+            auto par = std::make_unique<TapeEvaluator>(
+                bm.build(bm.defaultCheckCycles),
+                EvalOptions{4, MergeAlgo::Balanced, true},
+                /*partitioned=*/true);
             SimStatus st = par->run(bm.defaultCheckCycles + 8);
             EXPECT_EQ(st, SimStatus::Finished)
                 << bm.name << ": " << par->failureMessage();
@@ -246,7 +246,7 @@ TEST(ParallelEvaluator, RegisterSwapUsesPreCommitValues)
     b.next(ra, rb.read());
     b.next(rb, ra.read());
     TapeEvaluator par(b.build(), {2, MergeAlgo::Balanced, true},
-                      EvalMode::Parallel);
+                      /*partitioned=*/true);
     par.step();
     EXPECT_EQ(par.regValue("a").toUint64(), 2u);
     EXPECT_EQ(par.regValue("b").toUint64(), 1u);
@@ -263,7 +263,7 @@ TEST(ParallelEvaluator, MemWriteSeesPreCommitRegisterData)
     auto mem = b.memory("m", 8, 16);
     mem.write(b.lit(8, 3), counter.read(), b.lit(1, 1));
     TapeEvaluator par(b.build(), {2, MergeAlgo::Balanced, true},
-                      EvalMode::Parallel);
+                      /*partitioned=*/true);
     par.step();
     EXPECT_EQ(par.memValue(0, 3).toUint64(), 5u);
     EXPECT_EQ(par.regValue("counter").toUint64(), 6u);
@@ -281,7 +281,7 @@ TEST(ParallelEvaluator, AssertFailureSkipsCommitLikeReference)
     };
     Evaluator ref(build());
     TapeEvaluator par(build(), {2, MergeAlgo::Balanced, true},
-                      EvalMode::Parallel);
+                      /*partitioned=*/true);
     EXPECT_EQ(ref.run(100), SimStatus::AssertFailed);
     EXPECT_EQ(par.run(100), SimStatus::AssertFailed);
     EXPECT_EQ(ref.cycle(), par.cycle());
@@ -326,7 +326,7 @@ TEST(ParallelEvaluator, ThrowingDisplayCallbackDoesNotStrandWorkers)
                          " threads " + std::to_string(threads));
             TapeEvaluator par(partitions ? twoCones() : oneRegister(),
                               {threads, MergeAlgo::Balanced, true},
-                              EvalMode::Parallel);
+                              /*partitioned=*/true);
             if (threads == 1 || !partitions) {
                 EXPECT_EQ(par.numProcesses(), 1u);
                 EXPECT_EQ(par.ownedThreads(), 0u);
@@ -365,10 +365,10 @@ TEST(ParallelEvaluator, FactoryBuildsParallelMode)
     b.finish(counter.read() == b.lit(16, 20));
     Netlist nl = b.build();
 
-    EXPECT_STREQ(netlist::evalModeName(EvalMode::Parallel), "parallel");
-    auto par = netlist::makeEvaluator(nl, EvalMode::Parallel,
-                                      {3, MergeAlgo::Lpt, true});
-    auto ref = netlist::makeEvaluator(nl, EvalMode::Reference);
+    auto par = std::make_unique<TapeEvaluator>(
+        nl, EvalOptions{3, MergeAlgo::Lpt, true}, /*partitioned=*/true);
+    EXPECT_STREQ(par->presetName(), "netlist.parallel");
+    auto ref = std::make_unique<Evaluator>(nl);
     EXPECT_EQ(par->run(100), SimStatus::Finished);
     EXPECT_EQ(ref->run(100), SimStatus::Finished);
     EXPECT_EQ(par->cycle(), ref->cycle());
@@ -383,12 +383,12 @@ TEST(ParallelEvaluator, CostModelPicksTheProcessCount)
     // one, so it runs as one process on the caller.
     const EvalOptions four{4, MergeAlgo::Balanced};
     TapeEvaluator mm(designs::buildMmSized(64, 32), four,
-                     EvalMode::Parallel);
+                     /*partitioned=*/true);
     EXPECT_GE(mm.numProcesses(), 2u);
     EXPECT_TRUE(netlist::partitionPays(mm.partitionStats(), 1));
 
     Netlist jpeg = designs::buildJpeg(64);
-    TapeEvaluator serial(jpeg, four, EvalMode::Parallel);
+    TapeEvaluator serial(jpeg, four, /*partitioned=*/true);
     EXPECT_EQ(serial.numProcesses(), 1u);
     EXPECT_EQ(serial.ownedThreads(), 0u);
     EXPECT_GE(serial.partitionStats().mergedProcesses, 2u);
@@ -398,7 +398,7 @@ TEST(ParallelEvaluator, CostModelPicksTheProcessCount)
 
     // Pinned, the same small design keeps the partition.
     TapeEvaluator pinned(jpeg, {4, MergeAlgo::Balanced, true},
-                         EvalMode::Parallel);
+                         /*partitioned=*/true);
     EXPECT_GE(pinned.numProcesses(), 2u);
     EXPECT_GE(pinned.ownedThreads(), 1u);
     EXPECT_EQ(pinned.run(1000), SimStatus::Finished)
@@ -408,8 +408,8 @@ TEST(ParallelEvaluator, CostModelPicksTheProcessCount)
     // count.
     for (const designs::Benchmark &bm : designs::allBenchmarks()) {
         Netlist nl = bm.build(64);
-        TapeEvaluator a(nl, four, EvalMode::Parallel);
-        TapeEvaluator b(nl, four, EvalMode::Parallel);
+        TapeEvaluator a(nl, four, /*partitioned=*/true);
+        TapeEvaluator b(nl, four, /*partitioned=*/true);
         EXPECT_EQ(a.numProcesses(), b.numProcesses()) << bm.name;
     }
 }

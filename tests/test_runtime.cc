@@ -108,15 +108,14 @@ TEST(Runtime, CrossCheckPassesWithEveryGoldenEngine)
     // evaluator: all three engines must agree with the machine.
     compiler::CompileOptions opts;
     opts.config.gridX = opts.config.gridY = 3;
-    for (netlist::EvalMode mode :
-         {netlist::EvalMode::Reference, netlist::EvalMode::Compiled,
-          netlist::EvalMode::Parallel}) {
+    for (const std::string mode :
+         {"netlist.reference", "netlist.compiled", "netlist.parallel"}) {
         netlist::EvalOptions eopts;
         eopts.numThreads = 2;
         eopts.pinProcesses = true;
         runtime::Simulation sim(designs::buildBlur(128), opts, mode,
                                 eopts);
-        EXPECT_EQ(sim.goldenMode(), mode);
+        EXPECT_EQ(sim.goldenEngine(), mode);
         EXPECT_EQ(sim.runCrossChecked(64), isa::RunStatus::Running)
             << sim.divergence();
         EXPECT_TRUE(sim.divergence().empty()) << sim.divergence();
@@ -129,7 +128,7 @@ TEST(Runtime, CrossCheckRunsToFinish)
     compiler::CompileOptions opts;
     opts.config.gridX = opts.config.gridY = 2;
     runtime::Simulation sim(wideDisplayDesign(), opts,
-                            netlist::EvalMode::Parallel,
+                            "netlist.parallel",
                             {2, MergeAlgo::Balanced, true});
     EXPECT_EQ(sim.runCrossChecked(100), isa::RunStatus::Finished)
         << sim.divergence();
@@ -143,7 +142,7 @@ TEST(Runtime, CrossCheckResyncsAfterPlainRun)
     compiler::CompileOptions opts;
     opts.config.gridX = opts.config.gridY = 3;
     runtime::Simulation sim(designs::buildBlur(128), opts,
-                            netlist::EvalMode::Compiled);
+                            "netlist.compiled");
     EXPECT_EQ(sim.runCrossChecked(8), isa::RunStatus::Running);
     EXPECT_EQ(sim.run(8), isa::RunStatus::Running);
     EXPECT_EQ(sim.runCrossChecked(8), isa::RunStatus::Running)
@@ -164,7 +163,7 @@ TEST(Runtime, CrossCheckAgreesOnAssertFailure)
     compiler::CompileOptions opts;
     opts.config.gridX = opts.config.gridY = 1;
     runtime::Simulation sim(b.build(), opts,
-                            netlist::EvalMode::Compiled);
+                            "netlist.compiled");
     EXPECT_EQ(sim.runCrossChecked(100), isa::RunStatus::Failed);
     EXPECT_TRUE(sim.divergence().empty()) << sim.divergence();
     EXPECT_NE(sim.host().failureMessage().find("counter escaped"),

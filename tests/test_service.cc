@@ -454,8 +454,7 @@ TEST(Service, SessionEnginesOwnZeroThreads)
     // that this really means an empty owned pool.
     netlist::EvalOptions one;
     one.numThreads = 1;
-    netlist::TapeEvaluator ev(ctr32(1000), one,
-                             netlist::EvalMode::Parallel);
+    netlist::TapeEvaluator ev(ctr32(1000), one, /*partitioned=*/true);
     EXPECT_EQ(ev.ownedThreads(), 0u);
     EXPECT_EQ(ev.numThreads(), 1u);
 }

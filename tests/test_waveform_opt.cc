@@ -15,9 +15,8 @@
 #include "netlist/builder.hh"
 #include "netlist/evaluator.hh"
 #include "netlist/optimize.hh"
+#include "netlist/tape_evaluator.hh"
 #include "runtime/waveform.hh"
-
-using manticore::netlist::EvalMode;
 
 using namespace manticore;
 
@@ -122,8 +121,12 @@ TEST(Waveform, RecordsFromEitherEvaluatorEngine)
     netlist::Netlist nl = b.build();
 
     std::string vcds[2];
-    for (EvalMode mode : {EvalMode::Reference, EvalMode::Compiled}) {
-        auto eval = netlist::makeEvaluator(nl, mode);
+    for (bool compiled : {false, true}) {
+        std::unique_ptr<netlist::EvaluatorBase> eval;
+        if (compiled)
+            eval = std::make_unique<netlist::TapeEvaluator>(nl);
+        else
+            eval = std::make_unique<netlist::Evaluator>(nl);
         runtime::WaveformRecorder wave(nl);
         for (uint64_t v = 0; v < 10; ++v) {
             eval->step();
@@ -132,7 +135,7 @@ TEST(Waveform, RecordsFromEitherEvaluatorEngine)
         EXPECT_EQ(wave.changesRecorded(), 10u);
         std::ostringstream os;
         wave.writeVcd(os);
-        vcds[mode == EvalMode::Compiled] = os.str();
+        vcds[compiled] = os.str();
     }
     // Same design, same stimulus: both engines must produce the
     // byte-identical waveform.

@@ -191,9 +191,9 @@ checkAotObjects()
     for (unsigned width : {4u, 8u, 16u}) {
         netlist::EvalOptions options;
         options.lanes = width;
+        options.aot = true;
         options.aotCacheDir = cache;
-        netlist::TapeEvaluator eval(mixingDesign(), options,
-                                    netlist::EvalMode::Aot);
+        netlist::TapeEvaluator eval(mixingDesign(), options);
         if (!eval.usingAot()) {
             std::fprintf(stderr,
                          "check_vectorized --aot: width %u object "

@@ -132,13 +132,8 @@ main(int argc, char **argv)
                          info.name, info.availabilityNote.c_str());
     }
 
-    // The parallel presets run pinned at two processes, so random
-    // circuits (which the cost model would mostly run as one process)
-    // still go through the two-barrier rendezvous.  The other
-    // subjects ignore both fields.
-    engine::CreateOptions subject_options;
-    subject_options.eval.numThreads = 2;
-    subject_options.eval.pinProcesses = true;
+    // The replay runner rebuilds subjects with the same options.
+    const engine::CreateOptions subject_options = runtime::subjectOptions();
 
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(seconds);
