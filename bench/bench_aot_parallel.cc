@@ -5,7 +5,7 @@
  *
  * Partition columns: netlist.parallel.aot (each partition's tape
  * compiled into its own cached object, dispatched inside the
- * untouched two-barrier Vcycle) vs the interpreted netlist.parallel
+ * unchanged one-rendezvous Vcycle) vs the interpreted netlist.parallel
  * on the large Fig. 6 builds.  On a 1-hardware-thread host these
  * columns are rendezvous/balance-bound — the compute phase the AOT
  * objects accelerate is a fraction of the Vcycle — so the partition

@@ -6,8 +6,9 @@
  * the scheduler inserted — and re-decodes operands each time; the
  * TapeInterpreter runs the same program as a pre-decoded, NOP-elided,
  * run-batched op tape over one flat register array.  The measured ratio
- * is the cost of that re-decoding + padding, and the row is appended
- * to BENCH_interpreter_tape.json so the perf trajectory is tracked.
+ * is the cost of that re-decoding + padding.  Each rate is the median
+ * of kSamples windows, each on a fresh engine; the rows, with
+ * quartiles and n, go to BENCH_interpreter_tape.json.
  */
 
 #include <cstdio>
@@ -22,15 +23,21 @@ using namespace manticore;
 
 namespace {
 
+constexpr unsigned kSamples = 5;
+
+/** One 0.2 s window of stepVcycle calls on a fresh engine. */
+template <typename Interp>
 double
-measure(isa::InterpreterBase &interp, runtime::Host &host,
+measure(const isa::Program &program, const isa::MachineConfig &config,
         uint64_t horizon, uint64_t chunk)
 {
-    host.onDisplay = nullptr;
+    Interp interp(program, config);
+    runtime::Host host(program, interp.globalMemory());
+    host.attach(engine::wrap(interp));
     return bench::measureRateKhz(
         [&](uint64_t n) {
             // stepVcycle per cycle on BOTH engines so the measured
-            // ratio isolates the PR-3 dispatch/pre-decode win; the
+            // ratio isolates the tape's dispatch/pre-decode win; the
             // batched run(n) path is measured separately by
             // bench_engine_batch.
             for (uint64_t i = 0; i < n; ++i)
@@ -39,6 +46,14 @@ measure(isa::InterpreterBase &interp, runtime::Host &host,
             return true;
         },
         horizon - 8, 0.2, chunk);
+}
+
+void
+writeRate(FILE *json, const char *key, const bench::RateSample &r)
+{
+    std::fprintf(json,
+                 "\"%s\": %.2f, \"%s_q1\": %.2f, \"%s_q3\": %.2f, ",
+                 key, r.median, key, r.q1, key, r.q3);
 }
 
 } // namespace
@@ -73,35 +88,40 @@ main()
         for (const auto &proc : cr.program.processes)
             body_slots += proc.body.size();
 
-        isa::Interpreter ref(cr.program, opts.config);
-        runtime::Host ref_host(cr.program, ref.globalMemory());
-        ref_host.attach(engine::wrap(ref));
-        double ref_khz = measure(ref, ref_host, horizon, 64);
+        const bench::RateSample ref = bench::medianRateKhz(
+            [&] {
+                return measure<isa::Interpreter>(cr.program, opts.config,
+                                                 horizon, 64);
+            },
+            kSamples);
+        const bench::RateSample tape = bench::medianRateKhz(
+            [&] {
+                return measure<isa::TapeInterpreter>(
+                    cr.program, opts.config, horizon, 256);
+            },
+            kSamples);
 
-        isa::TapeInterpreter tape(cr.program, opts.config);
-        runtime::Host tape_host(cr.program, tape.globalMemory());
-        tape_host.attach(engine::wrap(tape));
-        double tape_khz = measure(tape, tape_host, horizon, 256);
-
-        double speedup = ref_khz > 0 ? tape_khz / ref_khz : 0.0;
+        isa::TapeInterpreter shape(cr.program, opts.config);
+        double speedup = ref.median > 0 ? tape.median / ref.median : 0.0;
         speedups.push_back(speedup);
         std::printf("%8s  %10.1f  %10.1f  %8.2fx  %9zu  %9zu  %7zu\n",
-                    bm.name.c_str(), ref_khz, tape_khz, speedup,
-                    body_slots, tape.tapeLength(), tape.dispatches());
+                    bm.name.c_str(), ref.median, tape.median, speedup,
+                    body_slots, shape.tapeLength(), shape.dispatches());
         if (json) {
+            std::fprintf(json, "%s    {\"design\": \"%s\", ",
+                         first ? "" : ",\n", bm.name.c_str());
+            writeRate(json, "reference_khz", ref);
+            writeRate(json, "tape_khz", tape);
             std::fprintf(json,
-                         "%s    {\"design\": \"%s\", "
-                         "\"reference_khz\": %.2f, "
-                         "\"tape_khz\": %.2f, "
+                         "\"n\": %u, "
                          "\"speedup\": %.2f, "
                          "\"body_slots\": %zu, "
                          "\"tape_ops\": %zu, "
                          "\"nops_elided\": %zu, "
                          "\"dispatch_runs\": %zu}",
-                         first ? "" : ",\n", bm.name.c_str(), ref_khz,
-                         tape_khz, speedup, body_slots,
-                         tape.tapeLength(), tape.nopsElided(),
-                         tape.dispatches());
+                         kSamples, speedup, body_slots,
+                         shape.tapeLength(), shape.nopsElided(),
+                         shape.dispatches());
             first = false;
         }
     }

@@ -11,7 +11,7 @@
  *
  *  - The rendezvous row: a design whose processes have empty tapes,
  *    pinned at P in {2, 4}.  Its per-cycle time over the same design
- *    at P = 1 is the cost of one two-barrier rendezvous.  Divided by
+ *    at P = 1 is the cost of one rendezvous.  Divided by
  *    the serial tape's time per cost unit (the median over the designs
  *    below), it is the rendezvous in cost units — the source of
  *    netlist::kRendezvousCost.
@@ -104,7 +104,7 @@ main()
 {
     bench::printEnvironment(
         "Partition-parallel vs serial compiled evaluation "
-        "(Fig. 6/9 designs, large builds, two-barrier Vcycle)");
+        "(Fig. 6/9 designs, large builds, one-rendezvous Vcycle)");
 
     FILE *json = std::fopen("BENCH_parallel_evaluator.json", "w");
     if (json)

@@ -2,15 +2,17 @@
  * @file
  * Multi-tenant service overhead: aggregate simulated throughput and
  * poll latency as the tenant count grows 1 -> 64 over ONE fixed
- * worker pool, against a dedicated single-engine serial baseline.
+ * worker pool, against a dedicated single-engine serial baseline
+ * stepped like a tenant: a direct step() loop in the scheduler's
+ * quantum.
  *
- * The claim under test: time-slicing thousands-of-cycles quanta over
- * a condvar-parked pool costs almost nothing — aggregate throughput
- * at 32 tenants stays >= 70% of the serial rate (it is typically
- * >95%: the quantum is thousands of engine cycles per lock hop), and
- * polling a session is wait-free against the quantum (published
- * state, never the engine), so p99 poll latency stays in microseconds
- * even while every worker is saturated.
+ * What it shows: one tenant against the baseline is the cost of
+ * time-slicing (one lock hop per quantum of thousands of cycles);
+ * more tenants than one spread over the workers, so the aggregate
+ * can approach min(tenants, workers) times the baseline.  Polling a
+ * session is wait-free against the quantum (published state, never
+ * the engine), so p99 poll latency stays in microseconds even while
+ * every worker is saturated.
  *
  * Rows land in BENCH_service.json.  `--engine <name>` selects the
  * tenant engine (default netlist.compiled).
@@ -61,19 +63,31 @@ main(int argc, char **argv)
     bench::printEnvironment("service: multi-tenant scheduling "
                             "overhead (manticored's scheduler)");
 
-    // Serial baseline: one dedicated engine, no scheduler.
+    // Serial baseline: one dedicated engine, no scheduler, stepped in
+    // the tenants' quantum after one warm-up quantum.
+    const service::SchedulerOptions sched_options;
+    const uint64_t quantum = sched_options.quantumCycles;
     double serial_khz;
     {
         auto eng = engine::create(engine, counterDesign());
-        serial_khz = bench::measureRateKhz(
-            [&](uint64_t chunk) {
-                return eng->step(chunk).status ==
-                       engine::Status::Running;
-            },
-            1u << 30, 0.4);
+        eng->step(quantum);
+        uint64_t done = 0;
+        double seconds = 0.0;
+        auto start = clock_type::now();
+        while (seconds < 0.4) {
+            eng->step(quantum);
+            done += quantum;
+            seconds = std::chrono::duration<double>(clock_type::now() -
+                                                    start)
+                          .count();
+        }
+        serial_khz = static_cast<double>(done) / seconds / 1000.0;
     }
-    std::printf("serial baseline (%s, dedicated): %.0f kHz\n\n",
-                engine.c_str(), serial_khz);
+    const unsigned workers = std::max(1u, std::thread::hardware_concurrency());
+    std::printf("serial baseline (%s, dedicated, step(%llu)): %.0f kHz; "
+                "%u workers\n\n",
+                engine.c_str(), static_cast<unsigned long long>(quantum),
+                serial_khz, workers);
 
     // Fixed total work, split across N tenants of one scheduler.
     const uint64_t total_cycles = std::max<uint64_t>(
@@ -84,15 +98,18 @@ main(int argc, char **argv)
         std::fprintf(json,
                      "{\n  \"experiment\": \"service\",\n"
                      "  \"engine\": \"%s\",\n"
+                     "  \"workers\": %u,\n"
+                     "  \"quantum_cycles\": %llu,\n"
                      "  \"serial_khz\": %.1f,\n"
                      "  \"rows\": [",
-                     engine.c_str(), serial_khz);
+                     engine.c_str(), workers,
+                     static_cast<unsigned long long>(quantum), serial_khz);
 
     std::printf("%8s %12s %10s %12s %12s\n", "tenants", "agg kHz",
                 "vs serial", "poll p50 us", "poll p99 us");
     bool first = true;
     for (unsigned tenants : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-        service::Scheduler sched{service::SchedulerOptions{}};
+        service::Scheduler sched{sched_options};
         std::vector<service::SessionHandle> handles;
         std::string error;
         uint64_t per_tenant = total_cycles / tenants;

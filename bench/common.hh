@@ -10,6 +10,7 @@
 #ifndef MANTICORE_BENCH_COMMON_HH
 #define MANTICORE_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -151,6 +152,44 @@ measureRateKhz(const std::function<bool(uint64_t)> &step,
     if (done == 0 || elapsed <= 0.0)
         return 0.0;
     return static_cast<double>(done) / elapsed / 1000.0;
+}
+
+/** A rate measured k times: what a BENCH row reports, since one
+ *  0.2 s sample cannot resolve a 10% effect on a shared host. */
+struct RateSample
+{
+    double median = 0.0;
+    double q1 = 0.0; ///< first quartile
+    double q3 = 0.0; ///< third quartile
+    unsigned n = 0;
+};
+
+/** The p-quantile (0..1) of an ascending vector, interpolating
+ *  linearly between the closest ranks. */
+inline double
+quantile(const std::vector<double> &sorted, double p)
+{
+    if (sorted.empty())
+        return 0.0;
+    double pos = p * static_cast<double>(sorted.size() - 1);
+    size_t lo = static_cast<size_t>(pos);
+    size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] + (sorted[hi] - sorted[lo]) *
+                            (pos - static_cast<double>(lo));
+}
+
+/** Median and quartiles of k calls of `sample`, each returning one
+ *  rate in kHz (typically one measureRateKhz window on a fresh
+ *  engine, so every sample starts from the same state). */
+inline RateSample
+medianRateKhz(const std::function<double()> &sample, unsigned k = 5)
+{
+    std::vector<double> xs;
+    for (unsigned i = 0; i < k; ++i)
+        xs.push_back(sample());
+    std::sort(xs.begin(), xs.end());
+    return {quantile(xs, 0.5), quantile(xs, 0.25), quantile(xs, 0.75),
+            k};
 }
 
 inline double

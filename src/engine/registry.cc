@@ -220,8 +220,8 @@ registerEngines()
          kNetlistCaps | cap::kBatchedStep | cap::kEnsemble},
         {"netlist.parallel",
          "partition-parallel tapes on a persistent worker pool with "
-         "the two-barrier Vcycle (batched step(n) amortises the "
-         "rendezvous)",
+         "a one-rendezvous Vcycle (batched step(n) amortises the "
+         "pool wake-up)",
          true,
          kNetlistCaps | cap::kBatchedStep | cap::kEnsemble},
         {"netlist.aot",
@@ -235,7 +235,7 @@ registerEngines()
         {"netlist.parallel.aot",
          "partition-parallel tapes with each partition's tape "
          "AOT-compiled into its own cached object, dispatched inside "
-         "the two-barrier Vcycle",
+         "the one-rendezvous Vcycle",
          true,
          kNetlistCaps | cap::kBatchedStep | cap::kEnsemble |
              cap::kAotCompiled},

@@ -15,15 +15,18 @@ Arena::read(uint32_t slot, unsigned width, unsigned lane) const
 void
 Arena::write(uint32_t slot, unsigned lane, const BitVector &value)
 {
-    lo::copy(at(slot, value.width(), lane), value.limbs().data(),
-             lo::nlimbs(value.width()));
+    const unsigned n = lo::nlimbs(value.width());
+    uint64_t *cur = at(slot, value.width(), lane);
+    lo::copy(cur, value.limbs().data(), n);
+    lo::copy(other() + (cur - data()), cur, n);
 }
 
 void
 Arena::broadcast(uint32_t slot, const BitVector &value)
 {
-    lo::broadcast(data() + slot, value.limbs().data(),
-                  lo::nlimbs(value.width()), _lanes);
+    const unsigned n = lo::nlimbs(value.width());
+    lo::broadcast(data() + slot, value.limbs().data(), n, _lanes);
+    lo::copy(other() + slot, data() + slot, n * _lanes);
 }
 
 } // namespace manticore::exec

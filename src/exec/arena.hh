@@ -22,6 +22,15 @@
  * parallel engine aligns every per-process region and register-file
  * owner group so distinct worker threads never write the same line.
  *
+ * The storage holds TWO copies of that layout, each line-aligned: the
+ * current copy (data()) that a Vcycle reads, and the other copy
+ * (other()) its register commits write, so no commit can overwrite a
+ * value another process still reads.  flip() swaps them at the end of
+ * a committed Vcycle.  Slots are copy-relative offsets, so the same
+ * tape or compiled object runs on either copy.  write()/broadcast()
+ * drive both copies (sources and restored registers stay equal in
+ * each); read()/at() see the current one.  limbs() counts one copy.
+ *
  * The layout is engine-family-neutral (the ISA tape interpreter
  * lane-strides its register file the same way), so it lives in the
  * shared lane-execution layer.
@@ -31,6 +40,7 @@
 #define MANTICORE_EXEC_ARENA_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "support/bitvector.hh"
@@ -71,8 +81,8 @@ class Arena
         _offset = (_offset + 7) & ~uint64_t{7};
     }
 
-    /** Materialise the zeroed storage; no further alloc()s.  The
-     *  base starts on a cache-line boundary, so align()ed offsets are
+    /** Materialise both zeroed copies; no further alloc()s.  Each
+     *  copy starts on a cache-line boundary, so align()ed offsets are
      *  line-aligned in memory and the laned kernels' vector accesses
      *  to them never split a line. */
     void
@@ -80,14 +90,22 @@ class Arena
     {
         MANTICORE_ASSERT(!_sealed, "arena sealed twice");
         _sealed = true;
-        _limbs.assign(_offset + 7, 0);
+        const size_t stride = (_offset + 7) & ~uint64_t{7};
+        _limbs.assign(2 * stride + 7, 0);
         auto addr = reinterpret_cast<uintptr_t>(_limbs.data());
-        _base = (64 - addr % 64) % 64 / sizeof(uint64_t);
+        _cur = (64 - addr % 64) % 64 / sizeof(uint64_t);
+        _next = _cur + stride;
     }
 
+    /** One copy's limbs (the slot address space). */
     size_t limbs() const { return _sealed ? _offset : 0; }
-    uint64_t *data() { return _limbs.data() + _base; }
-    const uint64_t *data() const { return _limbs.data() + _base; }
+    /** The current copy. */
+    uint64_t *data() { return _limbs.data() + _cur; }
+    const uint64_t *data() const { return _limbs.data() + _cur; }
+    /** The other copy: the next Vcycle's register file. */
+    uint64_t *other() { return _limbs.data() + _next; }
+    /** Make the other copy current. */
+    void flip() { std::swap(_cur, _next); }
 
     /** Lane l's limbs of the word allocated at slot. */
     uint64_t *
@@ -109,11 +127,11 @@ class Arena
     /** Materialise one lane's value (cold accessor paths). */
     BitVector read(uint32_t slot, unsigned width, unsigned lane) const;
 
-    /** Drive one lane of a word. */
+    /** Drive one lane of a word (both copies). */
     void write(uint32_t slot, unsigned lane, const BitVector &value);
 
-    /** Drive every lane of a word with the same value (constants,
-     *  register init, broadcast stimulus). */
+    /** Drive every lane of a word with the same value in both
+     *  copies (constants, register init, broadcast stimulus). */
     void broadcast(uint32_t slot, const BitVector &value);
 
   private:
@@ -122,8 +140,9 @@ class Arena
     unsigned _lanes;
     uint64_t _offset = 0;
     bool _sealed = false;
-    std::vector<uint64_t> _limbs; ///< _offset limbs from _base on
-    size_t _base = 0;             ///< limbs skipped to line-align
+    std::vector<uint64_t> _limbs; ///< both copies, line-aligned
+    size_t _cur = 0;              ///< current copy's first limb
+    size_t _next = 0;             ///< other copy's first limb
 };
 
 } // namespace manticore::exec

@@ -17,10 +17,10 @@
  *     extern "C" void manticore_aot_cycle_p<K>(uint64_t *A,
  *                                              const uint64_t *const *M);
  *
- * as process K's executor.  Effects, stage copies, commits, the
- * rendezvous, probes, stats and batched run(n) are the engine's own,
- * so the AOT executor cannot drift semantically from the interpreted
- * tape — at any partition count.
+ * as process K's executor, run on the current arena copy.  Effects,
+ * commits, the rendezvous, probes, stats and batched run(n) are the
+ * engine's own, so the AOT executor cannot drift semantically from
+ * the interpreted tape — at any partition count.
  *
  * **Laned ensembles.**  With EvalOptions::lanes == N the emitted
  * source takes the (padded) lane count as a compile-time constant:

@@ -13,7 +13,7 @@
  *  - TapeEvaluator (tape_evaluator.hh): the netlist lowered once to
  *    flat op tapes over a preallocated limb arena — zero allocations
  *    and no Node/string access in the hot loop — evaluated with the
- *    paper's two-barrier Vcycle (§6.1).  A partition count (one
+ *    paper's Vcycle with one rendezvous (§6.1).  A partition count (one
  *    process, or up to numThreads on a worker pool when the cost
  *    model says the partition pays) and an executor
  *    (interpreted tape or AOT-compiled objects, aot.hh) are its two
@@ -201,8 +201,8 @@ struct EvalOptions
     /// exercise or sweep the rendezvous on small designs.
     bool pinProcesses = false;
     /// Ensemble width: advance N decoupled simulations per step —
-    /// one tape dispatch (and, with a worker pool, one two-barrier
-    /// rendezvous) amortised over N lanes.  Compiled engines only;
+    /// one tape dispatch (and, with a worker pool, one rendezvous)
+    /// amortised over N lanes.  Compiled engines only;
     /// netlist.reference rejects lanes != 1.
     unsigned lanes = 1;
     /// Evaluate every process's tape through its own AOT-compiled

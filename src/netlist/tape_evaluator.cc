@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <unordered_map>
 
 #include <dlfcn.h>
 
@@ -60,6 +59,7 @@ TapeEvaluator::TapeEvaluator(Netlist netlist, const EvalOptions &options,
     }
     _active = _lanes;
     _lane.resize(_lanes);
+    _laneLive.assign(_lanes, 1);
     _laneCommit.assign(_lanes, 0);
     _laneFinish.assign(_lanes, 0);
 
@@ -91,12 +91,12 @@ TapeEvaluator::TapeEvaluator(Netlist netlist, const EvalOptions &options,
 
 TapeEvaluator::~TapeEvaluator()
 {
-    // Workers always park at the compute rendezvous between steps;
+    // Workers always park at the batch generation between steps;
     // bumping both generations with _shutdown set releases them from
     // either wait.  Only then can the compiled objects be unloaded.
     _shutdown.store(true, std::memory_order_relaxed);
-    _computeGen.fetch_add(1, std::memory_order_release);
-    _commitGen.fetch_add(1, std::memory_order_release);
+    _batchGen.fetch_add(1, std::memory_order_release);
+    _cycleGen.fetch_add(1, std::memory_order_release);
     for (std::thread &t : _pool)
         t.join();
     for (Proc &p : _procs)
@@ -121,7 +121,8 @@ TapeEvaluator::compile(std::vector<NetlistProcess> processes)
 
     // Shared register file, grouped by committing process and
     // cache-line aligned per group: the only shared slots written
-    // after construction, each by exactly one process per cycle.
+    // after construction, each by exactly one process per cycle (into
+    // the copy nobody reads that cycle).
     _regSlot.assign(_netlist.numRegisters(), kNoSlot);
     for (const NetlistProcess &proc : processes) {
         _arena.align();
@@ -134,11 +135,10 @@ TapeEvaluator::compile(std::vector<NetlistProcess> processes)
     for (size_t r = 0; r < _netlist.numRegisters(); ++r)
         MANTICORE_ASSERT(_regSlot[r] != kNoSlot, "unowned register");
 
-    // Per-process private regions: cone node slots, then staging for
-    // RegRead-sourced commit operands.  Lowering happens in the same
-    // sweep — node ids are topologically ordered and cones are
-    // operand-closed, so every operand slot is resolvable by the time
-    // it is needed.  `local` maps the current process's cone only.
+    // Per-process private regions: cone node slots.  Lowering happens
+    // in the same sweep — node ids are topologically ordered and cones
+    // are operand-closed, so every operand slot is resolvable by the
+    // time it is needed.  `local` maps the current process's cone only.
     std::vector<uint32_t> local(nodes.size(), kNoSlot);
     auto resolve = [&](NodeId id) -> uint32_t {
         const Node &n = nodes[id];
@@ -171,40 +171,25 @@ TapeEvaluator::compile(std::vector<NetlistProcess> processes)
                 tape::lower(_netlist, id, local[id], a, b, c, _mems));
         }
 
-        // Commit operands that live in the shared register file are
-        // staged into the private region pre-barrier; everything else
-        // (private slots, stable constants/inputs) is read directly.
-        std::unordered_map<NodeId, uint32_t> staged;
-        auto commitSlot = [&](NodeId id) -> uint32_t {
-            const Node &n = nodes[id];
-            if (n.kind != OpKind::RegRead)
-                return resolve(id);
-            auto it = staged.find(id);
-            if (it != staged.end())
-                return it->second;
-            uint32_t slot = _arena.alloc(n.width);
-            staged.emplace(id, slot);
-            proc.stages.push_back({slot, _regSlot[n.regId],
-                                   lo::nlimbs(n.width) * _lanes});
-            return slot;
-        };
-
+        // Commits read the current copy and write the other, so every
+        // operand (private slot, register file, constant, input) is
+        // read where it lies.  Memory writes are collected for the
+        // master, keeping each memory's writes in program order.
         for (RegId r : src.registers) {
             const Register &reg = _netlist.reg(r);
-            proc.regCommits.push_back({_regSlot[r], commitSlot(reg.next),
+            proc.regCommits.push_back({_regSlot[r], resolve(reg.next),
                                        lo::nlimbs(reg.width)});
         }
         for (uint32_t w : src.memWrites) {
             const MemWrite &mw = _netlist.memWrites()[w];
-            proc.memCommits.push_back(
-                {mw.mem, commitSlot(mw.addr), commitSlot(mw.data),
-                 commitSlot(mw.enable),
-                 lo::nlimbs(nodes[mw.addr].width)});
+            _memWrites.push_back({mw.mem, resolve(mw.addr),
+                                  resolve(mw.data), resolve(mw.enable),
+                                  lo::nlimbs(nodes[mw.addr].width)});
         }
 
         // Side effects resolve against the effects process's cone
-        // (or shared slots); the master fires them per lane between
-        // the two barriers.
+        // (or shared slots); the master fires them per lane inside
+        // the rendezvous.
         if (src.effects) {
             _effects = tape::Effects::compile(_netlist, resolve);
             effects_compiled = true;
@@ -232,55 +217,46 @@ TapeEvaluator::compile(std::vector<NetlistProcess> processes)
 // ---------------------------------------------------------------------------
 
 inline void
-TapeEvaluator::computeProc(size_t proc_index)
+TapeEvaluator::runProc(size_t proc_index, uint64_t *A, uint64_t *N)
 {
     // The executor (compiled object or interpreted tape) writes only
-    // the process's private region; the stage copies are part of the
-    // protocol and run for both.
+    // the process's private region of the current copy.  Every lane
+    // live at cycle start then commits into the other copy before the
+    // master knows whether its asserts hold: nothing reads the other
+    // copy before the flip, and settleLanes restores a lane that turns
+    // out not to commit.  Frozen lanes are skipped, so their registers
+    // stay equal in both copies.
     const Proc &proc = _procs[proc_index];
-    uint64_t *A = _arena.data();
     if (proc.aotFn)
         proc.aotFn(A, _memTable.data());
     else
         tape::run(proc.tape, A, _mems, _padded);
-    for (const StageCopy &s : proc.stages)
-        lo::copy(A + s.dst, A + s.src, s.limbs);
-}
-
-inline void
-TapeEvaluator::commitScalar(const Proc &proc)
-{
-    // Called only when _doCommit, which at one lane IS lane 0's commit
-    // flag — no lane loops, no flag loads.
-    uint64_t *A = _arena.data();
-    for (const MemCommit &w : proc.memCommits) {
-        if (A[w.enable]) {
-            tape::MemState &m = _mems[w.mem];
-            uint64_t addr = A[w.addr] % m.depth;
-            lo::copy(&m.words[addr * m.wordLimbs], A + w.data,
-                     m.wordLimbs);
-        }
+    const unsigned L = _lanes;
+    if (_allLive) {
+        // The src and dst blocks are lane-strided with the same
+        // stride: one copy per register moves every lane.
+        for (const RegCommit &rc : proc.regCommits)
+            lo::copy(N + rc.dst, A + rc.src, rc.limbs * L);
+        return;
     }
     for (const RegCommit &rc : proc.regCommits)
-        lo::copy(A + rc.dst, A + rc.src, rc.limbs);
+        for (unsigned l = 0; l < L; ++l)
+            if (_laneLive[l])
+                lo::copy(N + rc.dst + static_cast<size_t>(l) * rc.limbs,
+                         A + rc.src + static_cast<size_t>(l) * rc.limbs,
+                         rc.limbs);
 }
 
 void
-TapeEvaluator::commitProc(const Proc &proc)
+TapeEvaluator::writeMemories(const uint64_t *A)
 {
-    // Memory writes never read shared register-file slots (those were
-    // staged), so intra-process commit order is free; registers and
-    // memories owned by other processes are untouched by design.
-    // Frozen lanes (finished / assert-failed) have _laneCommit
-    // cleared by the master and are skipped.
+    // Each memory's writes are in program order; at one lane the
+    // caller's "some lane commits" is lane 0's commit flag.
     const unsigned L = _lanes;
-    if (L == 1)
-        return commitScalar(proc);
-    uint64_t *A = _arena.data();
-    for (const MemCommit &w : proc.memCommits) {
+    for (const MemCommit &w : _memWrites) {
         tape::MemState &m = _mems[w.mem];
         for (unsigned l = 0; l < L; ++l) {
-            if (!_laneCommit[l] || !A[w.enable + l])
+            if ((L > 1 && !_laneCommit[l]) || !A[w.enable + l])
                 continue;
             uint64_t addr =
                 A[w.addr + static_cast<size_t>(l) * w.addrStride] %
@@ -290,76 +266,87 @@ TapeEvaluator::commitProc(const Proc &proc)
                      m.wordLimbs);
         }
     }
-    if (_allCommit) {
-        // Every lane commits: the src and dst blocks are lane-strided
-        // with the same stride, one copy per register moves every
-        // lane.
-        for (const RegCommit &rc : proc.regCommits)
-            lo::copy(A + rc.dst, A + rc.src, rc.limbs * L);
-    } else {
-        for (const RegCommit &rc : proc.regCommits)
-            for (unsigned l = 0; l < L; ++l)
-                if (_laneCommit[l])
-                    lo::copy(A + rc.dst +
-                                 static_cast<size_t>(l) * rc.limbs,
-                             A + rc.src +
-                                 static_cast<size_t>(l) * rc.limbs,
-                             rc.limbs);
+}
+
+void
+TapeEvaluator::copyLaneRegs(unsigned lane, const uint64_t *from,
+                            uint64_t *to)
+{
+    for (const Proc &proc : _procs)
+        for (const RegCommit &rc : proc.regCommits) {
+            size_t at = rc.dst + static_cast<size_t>(lane) * rc.limbs;
+            lo::copy(to + at, from + at, rc.limbs);
+        }
+}
+
+void
+TapeEvaluator::settleLanes(bool flip)
+{
+    // Every lane live at cycle start has committed into the other
+    // copy.  One that did not commit gets the current copy's registers
+    // back there if the copies flip, or if it stopped (failed) — a
+    // lane stalled by a throwing display sink stays live and is
+    // recommitted next cycle.  One that finished committed: after the
+    // flip its new registers go back into the old copy.
+    for (unsigned l = 0; l < _lanes; ++l)
+        if (_laneLive[l] && !_laneCommit[l] &&
+            (flip || _lane[l].status != SimStatus::Ok))
+            copyLaneRegs(l, _arena.data(), _arena.other());
+    if (flip)
+        _arena.flip();
+    unsigned live = 0;
+    for (unsigned l = 0; l < _lanes; ++l) {
+        const bool finished = _laneCommit[l] && _laneFinish[l];
+        if (_laneLive[l] && finished)
+            copyLaneRegs(l, _arena.data(), _arena.other());
+        _laneLive[l] = _lane[l].status == SimStatus::Ok && !finished;
+        live += _laneLive[l];
     }
+    _allLive = live == _lanes;
 }
 
 /* Batch protocol (worker pool present).  A run()/step() call issues
- * ONE pool command: the master bumps _computeGen once and every
- * worker enters its batch loop.  Within the batch, each cycle is
+ * ONE pool command: the master bumps _batchGen once and every worker
+ * enters its batch loop.  Within the batch, each cycle is
  *
- *   worker: compute; ++_computeDone; wait _commitGen; commit if
- *           _doCommit (honouring the per-lane _laneCommit flags);
- *           read _batchMore; ++_commitDone; if more: wait
- *           _commitDone == everyone, roll into the next compute
- *   master: compute proc 0; wait _computeDone target; fire effects
- *           per lane; publish _laneCommit/_doCommit/_batchMore; bump
- *           _commitGen; commit proc 0; ++_commitDone; wait
- *           _commitDone target
+ *   worker: compute and commit on the copies; ++_arrived; wait
+ *           _cycleGen; if _batchMore: roll into the next cycle
+ *   master: compute and commit proc 0; wait _arrived target; fire
+ *           effects, write memories, settle lanes, flip; publish
+ *           _batchMore; bump _cycleGen
  *
- * Barrier 2 (all commits visible before any next-cycle compute) is
- * the _commitDone counter itself: every participant — master
- * included — counts its commit, and a worker rolls over only once
- * the full cycle's count is in.  The batch thus pays one generation
- * signal per cycle (plus the counters) instead of two signals and
- * two counter resets, and the master never re-enters step().  The
- * done-counters are monotonic against per-thread targets, which is
- * what makes the reset-free roll-over safe: a worker's baseline read
- * at batch entry is stable because the master only bumps _computeGen
- * after the previous cycle's full commit count arrived.  _batchMore
- * and the _laneCommit flags are written by the master before the
- * _commitGen release bump and read by workers after its acquire,
- * strictly before the master's next write to them. */
+ * That is the one rendezvous: an arrival counter and a release.  A
+ * worker's next-cycle compute reads only the new current copy and the
+ * memories, both final once the master released it, and its commits
+ * go into the other copy, which nobody reads that cycle.  _arrived is
+ * monotonic against a master-side target, so no per-cycle reset is
+ * needed.  _batchMore, _laneLive and _allLive are written by the
+ * master before the _cycleGen release bump (or between calls, before
+ * the _batchGen bump) and read by workers after its acquire, strictly
+ * before the master's next write to them, which waits for every
+ * worker's next arrival; the arena's copy offsets are read only at
+ * batch entry. */
 void
 TapeEvaluator::workerLoop(size_t proc_index)
 {
-    const uint64_t participants = _procs.size();
-    uint64_t seen_compute = 0, seen_commit = 0;
+    uint64_t seen_batch = 0, seen_cycle = 0;
     while (true) {
-        seen_compute = waitAbove(_computeGen, seen_compute);
+        seen_batch = waitAbove(_batchGen, seen_batch);
         if (_shutdown.load(std::memory_order_relaxed))
             return;
-        uint64_t commit_target =
-            _commitDone.load(std::memory_order_acquire);
-        while (true) {
-            computeProc(proc_index);
-            _computeDone.fetch_add(1, std::memory_order_release);
-            seen_commit = waitAbove(_commitGen, seen_commit);
+        // A cycle released with _batchMore committed, so the copies
+        // flipped: within a batch the worker tracks them itself and
+        // never reads the master's arena state.
+        uint64_t *A = _arena.data();
+        uint64_t *N = _arena.other();
+        do {
+            runProc(proc_index, A, N);
+            _arrived.fetch_add(1, std::memory_order_release);
+            seen_cycle = waitAbove(_cycleGen, seen_cycle);
             if (_shutdown.load(std::memory_order_relaxed))
                 return;
-            bool more = _batchMore;
-            if (_doCommit)
-                commitProc(_procs[proc_index]);
-            _commitDone.fetch_add(1, std::memory_order_release);
-            if (!more)
-                break; // park at the next batch's compute rendezvous
-            commit_target += participants;
-            waitCount(_commitDone, commit_target);
-        }
+            std::swap(A, N);
+        } while (_batchMore); // else park until the next batch
     }
 }
 
@@ -368,41 +355,33 @@ TapeEvaluator::startBatch()
 {
     // One pool command for the whole batch: workers enter their batch
     // loop and compute cycle 0; the master runs process 0 inline.
-    _computeGen.fetch_add(1, std::memory_order_release);
+    _batchGen.fetch_add(1, std::memory_order_release);
 }
 
 void
-TapeEvaluator::awaitCompute()
+TapeEvaluator::awaitArrivals()
 {
-    _computeTarget += _pool.size();
-    waitCount(_computeDone, _computeTarget);
+    _arrivalTarget += _pool.size();
+    waitCount(_arrived, _arrivalTarget);
 }
 
 void
-TapeEvaluator::publishCommit(bool more)
+TapeEvaluator::release(bool more)
 {
-    // Workers continue into the next cycle's compute iff the batch
-    // goes on.
     _batchMore = more;
-    _commitGen.fetch_add(1, std::memory_order_release);
-}
-
-void
-TapeEvaluator::awaitCommit()
-{
-    _commitDone.fetch_add(1, std::memory_order_release);
-    _commitTarget += _pool.size() + 1;
-    waitCount(_commitDone, _commitTarget);
+    _cycleGen.fetch_add(1, std::memory_order_release);
 }
 
 void
 TapeEvaluator::recountActive()
 {
     unsigned active = 0;
-    for (unsigned l = 0; l < _lanes; ++l)
-        if (_lane[l].status == SimStatus::Ok)
-            ++active;
+    for (unsigned l = 0; l < _lanes; ++l) {
+        _laneLive[l] = _lane[l].status == SimStatus::Ok;
+        active += _laneLive[l];
+    }
     _active = active;
+    _allLive = active == _lanes;
 }
 
 SimStatus
@@ -422,45 +401,47 @@ TapeEvaluator::run(uint64_t max_cycles)
 SimStatus
 TapeEvaluator::runScalar(uint64_t max_cycles)
 {
-    // Single-lane master loop: no per-lane flag vectors or loops (the
-    // scalar commit is gated on _doCommit alone).  Must stay
-    // behaviourally identical to runLaned at lanes=1 (the ensemble
-    // tests pin both against the reference evaluator).
+    // Single-lane master loop: no per-lane flag loops on the common
+    // cycle.  Must stay behaviourally identical to runLaned at lanes=1
+    // (the ensemble tests pin both against the reference evaluator).
     LaneState &lane = _lane[0];
     const bool pool = !_pool.empty();
     if (pool)
         startBatch();
     for (uint64_t left = max_cycles;; --left) {
-        computeProc(0);
+        runProc(0, _arena.data(), _arena.other());
         if (pool)
-            awaitCompute();
+            awaitArrivals();
 
-        // Barrier 1 passed.  If firing throws (a throwing onDisplay
-        // callback), the commit rendezvous must still complete or the
-        // workers stay parked at it and the next step() deadlocks;
-        // the cycle is then neither committed nor counted, so a
-        // caller that catches can retry it.
-        bool finished = false;
+        // Inside the rendezvous.  If firing throws (a throwing
+        // onDisplay callback), the workers must still be released or
+        // the next step() deadlocks; the cycle then neither commits
+        // nor counts and the copies do not flip, so a caller that
+        // catches can retry it.
+        bool commit = false, finished = false;
         std::exception_ptr thrown;
         try {
-            _doCommit = _effects.fire(_arena.data(), 0, lane.cycle,
-                                      lane.status, lane.failureMessage,
-                                      lane.displayLog, onDisplay,
-                                      finished);
+            commit = _effects.fire(_arena.data(), 0, lane.cycle,
+                                   lane.status, lane.failureMessage,
+                                   lane.displayLog, onDisplay, finished);
         } catch (...) {
             thrown = std::current_exception();
-            _doCommit = false;
+        }
+        if (commit)
+            writeMemories(_arena.data());
+        if (commit && !finished) {
+            _arena.flip();
+        } else {
+            _laneCommit[0] = commit;
+            _laneFinish[0] = finished;
+            settleLanes(commit);
         }
         if (pool)
-            publishCommit(left > 1 && _doCommit && !finished && !thrown);
-        if (_doCommit)
-            commitScalar(_procs[0]);
-        if (pool)
-            awaitCommit();
+            release(left > 1 && commit && !finished);
         if (thrown)
             std::rethrow_exception(thrown);
 
-        if (!_doCommit) {
+        if (!commit) {
             _active = 0; // assertion failed: no commit, no cycle
             return lane.status;
         }
@@ -483,22 +464,21 @@ TapeEvaluator::runLaned(uint64_t max_cycles)
     if (pool)
         startBatch();
     for (uint64_t left = max_cycles;; --left) {
-        computeProc(0);
+        runProc(0, _arena.data(), _arena.other());
         if (pool)
-            awaitCompute();
+            awaitArrivals();
 
-        // Barrier 1 passed: every combinational value is visible.
-        // Fire side effects per active lane, in lane order and in
-        // netlist order within a lane — a failed assert suppresses
-        // that lane's displays, $finish and commit.  On a throwing
-        // display sink the whole ensemble cycle aborts (every lane's
-        // display log rolled back, nothing commits, retryable; an
-        // external sink may see already-delivered lines again), but
-        // the exception is held until the commit rendezvous
-        // completed.
+        // Inside the rendezvous: every combinational value is in the
+        // current copy.  Fire side effects per active lane, in lane
+        // order and in netlist order within a lane — a failed assert
+        // suppresses that lane's displays, $finish and commit.  On a
+        // throwing display sink the whole ensemble cycle aborts (every
+        // lane's display log rolled back, nothing commits, retryable;
+        // an external sink may see already-delivered lines again), but
+        // the exception is held until the workers are released.
         const uint64_t *A = _arena.data();
         tape::Effects::FireResult fired;
-        if (_active == _lanes && _effects.onlyFinishes()) {
+        if (_allLive && _effects.onlyFinishes()) {
             // Fused fast path: nothing can fail, throw or log and no
             // lane is frozen, so every lane commits and firing is just
             // the $finish-enable checks.  On overhead-bound designs the
@@ -521,20 +501,22 @@ TapeEvaluator::runLaned(uint64_t max_cycles)
         }
         const unsigned next_active = fired.committing - fired.finishing;
         const bool more = left > 1 && next_active > 0 && !fired.thrown;
-        _doCommit = fired.committing != 0;
-        _allCommit = fired.committing == _lanes;
+        const bool flip = fired.committing != 0;
+        const bool all_commit = fired.committing == _lanes;
+        if (flip)
+            writeMemories(A);
+        if (fired.committing == _active && fired.finishing == 0)
+            _arena.flip(); // the common cycle: no lane stops
+        else
+            settleLanes(flip);
         if (pool)
-            publishCommit(more);
-        if (_doCommit)
-            commitProc(_procs[0]);
-        if (pool)
-            awaitCommit();
+            release(more);
         if (fired.thrown) {
             recountActive();
             std::rethrow_exception(fired.thrown);
         }
 
-        if (_allCommit && fired.finishing == 0) {
+        if (all_commit && fired.finishing == 0) {
             // The common cycle: every lane advances, none finishes.
             for (LaneState &ls : _lane)
                 ++ls.cycle;
@@ -547,7 +529,7 @@ TapeEvaluator::runLaned(uint64_t max_cycles)
                     _lane[l].status = SimStatus::Finished;
             }
         }
-        if (_doCommit)
+        if (flip)
             ++_cycle;
         _active = next_active;
         if (!more)
@@ -685,7 +667,7 @@ TapeEvaluator::objectPath(size_t proc_index) const
 
 // ---- checkpoint/restore hooks (see EvaluatorBase::saveLaneState) ----
 // All called from the master thread between step()/run() calls, when
-// any workers are parked on _computeGen: the shared arena, memory
+// any workers are parked on _batchGen: the arena's copies, memory
 // images and lane state are master-owned at that point.
 
 BitVector

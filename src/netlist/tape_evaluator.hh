@@ -21,26 +21,38 @@
  * pick the same count).  Otherwise they build the single-process
  * layout.  EvalOptions::pinProcesses keeps the partition regardless.
  *
- * The arena (exec/arena.hh) is split into a shared source region
- * (constants, inputs), a shared register file grouped by owning
- * process and cache-line aligned, and per-process private regions
- * holding each process's node slots plus staged copies of the
- * register-file operands its commits read.  Every Vcycle is
+ * The arena (exec/arena.hh) holds two copies of one layout: a shared
+ * source region (constants, inputs), a shared register file grouped
+ * by owning process and cache-line aligned, and per-process private
+ * regions holding each process's node slots.  One copy is current;
+ * every Vcycle is
  *
- *   compute phase   every process runs its tape, reading the shared
- *                   register file / inputs / constants / memories and
- *                   writing only its private region, then stages its
- *                   RegRead-sourced commit operands.
- *   barrier 1       the master (calling) thread fires side effects
- *                   in netlist order and decides which lanes commit.
- *   commit phase    each process commits the registers and memory
- *                   writes it owns (the cross-process "SENDs").
- *   barrier 2       the Vcycle is complete.
+ *   compute phase   every process runs its tape on the current copy,
+ *                   reading its register file / inputs / constants /
+ *                   memories and writing only its private region,
+ *                   then commits the registers it owns, for every
+ *                   lane live at cycle start, into the OTHER copy
+ *                   (the cross-process "SENDs").
+ *   rendezvous      the master (calling) thread fires side effects in
+ *                   netlist order, decides which lanes commit,
+ *                   applies every memory write, restores the other
+ *                   copy's registers for a lane that did not commit,
+ *                   flips the copies if any lane committed, and
+ *                   releases the workers into the next Vcycle.
+ *
+ * Commits never overwrite a value another process still reads, so
+ * there is no staging and no second barrier.  A lane that stops
+ * (finishes or fails) gets equal registers in both copies, so later
+ * flips cannot change what it shows.  Memory writes are the master's
+ * because MemReads may be duplicated into any process: no owner may
+ * write a memory another process is still reading.  Sources and
+ * restored registers are written into both copies; accessors read
+ * the current one.
  *
  * With more than one process, netlist/partition.hh splits the netlist
  * into balanced processes and a persistent worker pool runs processes
- * 1..N-1 while the master runs process 0; the two barriers are
- * spin-waited atomic counters.  With one
+ * 1..N-1 while the master runs process 0; the rendezvous is one
+ * spin-waited arrival counter plus one release generation.  With one
  * process (the single-process presets, a design that partitions into
  * one process, or a partition the cost model rejects) the engine
  * lowers the whole netlist directly,
@@ -50,9 +62,9 @@
  *
  * The executor is per process: the interpreted tape (tape.hh), or,
  * with EvalOptions::aot, a dlopen'd straight-line cycle function
- * emitted from that process's tape (aot.hh).  Effects, stage copies,
- * commits and lane bookkeeping are shared by both executors, so an
- * executor swap cannot drift semantically.
+ * emitted from that process's tape (aot.hh), run on the current
+ * copy's base.  Effects, commits and lane bookkeeping are shared by
+ * both executors, so an executor swap cannot drift semantically.
  *
  * With EvalOptions::lanes == N the arena holds an N-lane ensemble —
  * N decoupled simulations advanced by the same Vcycle, each with its
@@ -101,9 +113,8 @@ class TapeEvaluator : public EvaluatorBase
     void driveInput(NodeId input, const BitVector &value) override;
     SimStatus step() override;
     /** Batched stepping.  With a worker pool the whole batch is ONE
-     *  pool command: one wake-up rendezvous per batch and one
-     *  generation signal per cycle (see the batch protocol notes
-     *  above workerLoop).  Cycle-exact with a step() loop; an
+     *  pool command: one wake-up per batch and one rendezvous per
+     *  cycle (see the batch protocol notes above workerLoop).  Cycle-exact with a step() loop; an
      *  ensemble batch runs until every lane is terminal or the batch
      *  ends. */
     SimStatus run(uint64_t max_cycles) override;
@@ -167,6 +178,8 @@ class TapeEvaluator : public EvaluatorBase
      *  numThreads() is 1, which skips the partitioner. */
     const NetlistPartitionStats &partitionStats() const { return _stats; }
     size_t tapeLength() const; ///< total instructions across processes
+    /** One arena copy's limbs (the slot layout); the engine stores
+     *  two such copies. */
     size_t arenaLimbs() const { return _arena.limbs(); }
 
     // AOT executor state (all false / zero / empty on the tape
@@ -209,28 +222,17 @@ class TapeEvaluator : public EvaluatorBase
   private:
     using CycleFn = void (*)(uint64_t *, const uint64_t *const *);
 
-    /** Pre-barrier copy of a shared (RegRead) commit operand into the
-     *  process's private staging, so the commit phase never reads a
-     *  slot another commit may be overwriting.  Both blocks are
-     *  lane-strided with the same stride, so one copy of `limbs`
-     *  (pre-multiplied: per-lane limb count x lanes) moves every
-     *  lane. */
-    struct StageCopy
-    {
-        uint32_t dst, src, limbs;
-    };
-
     struct RegCommit
     {
-        uint32_t dst;   ///< shared register-file slot (owned)
-        uint32_t src;   ///< private, staged, or stable shared slot
+        uint32_t dst;   ///< owned register-file slot, in the other copy
+        uint32_t src;   ///< next-value slot, in the current copy
         uint32_t limbs; ///< per lane (also the lane stride)
     };
 
     struct MemCommit
     {
         uint32_t mem;
-        uint32_t addr, data, enable; ///< private/staged/stable slots
+        uint32_t addr, data, enable; ///< slots in the current copy
         uint32_t addrStride;         ///< addr operand's lane stride
     };
 
@@ -238,9 +240,7 @@ class TapeEvaluator : public EvaluatorBase
     struct Proc
     {
         std::vector<tape::Instr> tape;
-        std::vector<StageCopy> stages;
         std::vector<RegCommit> regCommits;
-        std::vector<MemCommit> memCommits;
         CycleFn aotFn = nullptr; ///< null: the interpreted tape
         void *aotHandle = nullptr;
         std::string aotKey, aotObject;
@@ -254,20 +254,28 @@ class TapeEvaluator : public EvaluatorBase
      *  its entry point (aot.cc). */
     bool loadAot(size_t proc_index, const std::string &path);
 
-    void computeProc(size_t proc_index);
-    void commitProc(const Proc &proc);
-    void commitScalar(const Proc &proc); ///< commitProc at one lane
+    /** One process's compute phase: run its executor on the current
+     *  copy A, then commit its registers into the other copy N. */
+    void runProc(size_t proc_index, uint64_t *A, uint64_t *N);
+    /** Master, inside the rendezvous, on a cycle where some lane
+     *  commits: apply every memory write of the committing lanes. */
+    void writeMemories(const uint64_t *A);
+    /** Master, inside the rendezvous, on a cycle where some live lane
+     *  did not commit or stopped: restore and flip, then equalise
+     *  the copies for every lane that stopped. */
+    void settleLanes(bool flip);
+    void copyLaneRegs(unsigned lane, const uint64_t *from, uint64_t *to);
     void workerLoop(size_t proc_index);
     /** The master loop, one per lane shape. */
     SimStatus runScalar(uint64_t max_cycles);
     SimStatus runLaned(uint64_t max_cycles);
     /** Master-side rendezvous steps, called only with a worker pool:
-     *  start a batch, barrier 1, publish the commit decision (and
-     *  whether the batch goes on), barrier 2. */
+     *  start a batch, wait for every worker's arrival, release the
+     *  workers (saying whether the batch goes on). */
     void startBatch();
-    void awaitCompute();
-    void publishCommit(bool more);
-    void awaitCommit();
+    void awaitArrivals();
+    void release(bool more);
+    /** Recount active lanes and the live-lane flags. */
     void recountActive();
 
     // Rendezvous waits: spin with periodic yields.  Inline: they sit
@@ -310,10 +318,10 @@ class TapeEvaluator : public EvaluatorBase
     // padded lanes stay frozen at init and invisible.
     unsigned _lanes;
     unsigned _padded;
-    exec::Arena _arena;
     std::vector<uint32_t> _sourceSlot; ///< node id -> slot (Const/Input)
     std::vector<uint32_t> _regSlot;    ///< reg id -> register-file slot
     std::vector<tape::MemState> _mems;
+    std::vector<MemCommit> _memWrites; ///< netlist order per memory
     /// Per-memory word-array base pointers (stable after
     /// construction), passed to every compiled cycle function.
     std::vector<const uint64_t *> _memTable;
@@ -324,33 +332,36 @@ class TapeEvaluator : public EvaluatorBase
     unsigned _aotProcs = 0;
     unsigned _compilerRuns = 0;
 
-    // Two-barrier worker-pool rendezvous (pool present only).  The
-    // master participates by running process 0 inline; workers run
-    // processes 1..N-1.  All cross-thread data movement is ordered
-    // through the release/acquire chains on these counters.
-    // _computeGen starts a batch (workers park on it between
-    // run()/step() calls); within a batch only _commitGen advances per
-    // cycle, and the done-counters count monotonically against
-    // master-side targets so no per-cycle reset is needed.
-    std::atomic<uint64_t> _computeGen{0};
-    std::atomic<uint64_t> _commitGen{0};
-    std::atomic<uint64_t> _computeDone{0};
-    std::atomic<uint64_t> _commitDone{0};
-    std::atomic<bool> _shutdown{false};
-    bool _doCommit = false;  ///< any lane commits (master->workers,
-                             ///< ordered by _commitGen)
-    bool _allCommit = false; ///< every lane commits (fast path)
-    bool _batchMore = false; ///< more cycles in this batch
-    std::vector<uint8_t> _laneCommit; ///< per-lane commit flags (same
-                                      ///< ordering as _doCommit)
-    uint64_t _computeTarget = 0; ///< master-only done-counter targets
-    uint64_t _commitTarget = 0;
     std::vector<std::thread> _pool;
+    std::vector<uint8_t> _laneLive; ///< per-lane live at cycle start
 
+    // One-rendezvous worker pool (pool present only).  The master
+    // participates by running process 0 inline; workers run processes
+    // 1..N-1.  All cross-thread data movement is ordered through the
+    // release/acquire chains on these counters.  _batchGen starts a
+    // batch (workers park on it between run()/step() calls); within a
+    // batch each worker bumps _arrived once per cycle, counted
+    // monotonically against a master-side target, and the master
+    // bumps _cycleGen once per cycle to release them.  The release
+    // line (with the flags the master publishes along with it), the
+    // arrival counter and the master's per-cycle state sit on
+    // separate cache lines, so a spinning worker is disturbed only by
+    // the writes it waits for.
+    alignas(64) std::atomic<uint64_t> _cycleGen{0};
+    bool _batchMore = false; ///< more cycles in this batch
+    bool _allLive = true;    ///< every lane live at cycle start
+    std::atomic<uint64_t> _batchGen{0};
+    std::atomic<bool> _shutdown{false};
+    alignas(64) std::atomic<uint64_t> _arrived{0};
+
+    // Master-only from here: the copies' flip, run state and targets.
+    alignas(64) exec::Arena _arena;
+    uint64_t _arrivalTarget = 0;
     // Per-lane run state; _cycle is the engine-level (max-lane) view.
     uint64_t _cycle = 0;
     unsigned _active; ///< lanes not yet finished/failed
     std::vector<LaneState> _lane;
+    std::vector<uint8_t> _laneCommit; ///< this cycle's commit flags
     std::vector<uint8_t> _laneFinish; ///< this cycle's $finish flags
 };
 

@@ -146,7 +146,7 @@ struct ReplayResult
  *  fuzz_differential and by replayOn alike, so an artifact replays in
  *  the configuration that recorded it: the parallel presets run
  *  pinned at two processes, so random circuits (which the cost model
- *  would mostly run as one process) still go through the two-barrier
+ *  would mostly run as one process) still go through the
  *  rendezvous.  The other engines ignore both fields. */
 engine::CreateOptions subjectOptions();
 

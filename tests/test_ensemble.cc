@@ -18,6 +18,7 @@
 
 #include "engine/crosscheck.hh"
 #include "engine/registry.hh"
+#include "engine/snapshot.hh"
 #include "netlist/builder.hh"
 #include "netlist/evaluator.hh"
 #include "netlist/tape_evaluator.hh"
@@ -60,6 +61,52 @@ assertAtInputDesign()
     b.next(c, c.read() + b.lit(16, 1));
     b.assertAlways(c.read() == x, b.lit(1, 0), "lane tripwire");
     return b.build();
+}
+
+/** Open design for the arena-copy invariants: independent register
+ *  cones (a pinned partition spreads them over processes), a memory
+ *  written and read every cycle, and per-lane stop cycles — the
+ *  assertion trips when the counter reaches x, $finish fires when it
+ *  reaches y. */
+netlist::Netlist
+stopAtInputsDesign()
+{
+    netlist::CircuitBuilder b("ens_stop");
+    auto x = b.input("x", 16);
+    auto y = b.input("y", 16);
+    auto c = b.reg("c", 16);
+    b.next(c, c.read() + b.lit(16, 1));
+    auto a = b.reg("a", 64, 3);
+    b.next(a, a.read() * b.lit(64, 0x9e3779b97f4a7c15ull) +
+                  c.read().zext(64));
+    auto w = b.reg("w", 256, 7);
+    netlist::Signal v = w.read();
+    for (unsigned i = 0; i < 4; ++i)
+        v = (v * v) ^ (v + b.lit(256, i + 1));
+    b.next(w, v);
+    auto m = b.memory("m", 32, 16);
+    m.write(c.read().trunc(4), a.read().trunc(32) ^ w.read().trunc(32),
+            b.lit(1, 1));
+    auto r = b.reg("r", 32);
+    b.next(r, r.read() + m.read(c.read().trunc(4) + b.lit(4, 1)));
+    b.assertAlways(c.read() == x, b.lit(1, 0), "lane tripwire");
+    b.finish(c.read() == y);
+    return b.build();
+}
+
+/** Every lane's registers and memory words, read through the
+ *  evaluator interface (lane 0 for a scalar evaluator). */
+std::vector<BitVector>
+laneState(const netlist::EvaluatorBase &e, const netlist::Netlist &nl,
+          unsigned lane)
+{
+    std::vector<BitVector> state;
+    for (netlist::RegId r = 0; r < nl.numRegisters(); ++r)
+        state.push_back(e.regValueLane(lane, r));
+    for (netlist::MemId id = 0; id < nl.numMemories(); ++id)
+        for (uint64_t addr = 0; addr < nl.memory(id).depth; ++addr)
+            state.push_back(e.memValueLane(lane, id, addr));
+    return state;
 }
 
 engine::CreateOptions
@@ -261,6 +308,88 @@ TEST(Ensemble, DivergentAssertsFreezeOnlyTheirLane)
         EXPECT_EQ(subject->laneCycle(2), 50u);
         EXPECT_EQ(res.status, engine::Status::Failed); // lane-0 view
     }
+}
+
+TEST(Ensemble, StoppedLanesKeepTheirStateAcrossCopyFlips)
+{
+    // Lanes stop on different cycles, by assertion or $finish, while
+    // lane 4 runs on to cycle 20: the arena copies flip at least three
+    // more times after every stop.  Each lane's registers and memories
+    // must equal a reference run of that lane alone.  The batch sizes
+    // put stops both inside a batch and at its edges.
+    netlist::Netlist nl = stopAtInputsDesign();
+    const std::vector<std::pair<uint64_t, uint64_t>> stops = {
+        {4, 500}, {500, 6}, {9, 500}, {500, 11}, {500, 500}};
+    const unsigned lanes = static_cast<unsigned>(stops.size());
+    netlist::EvalOptions options;
+    options.numThreads = 3;
+    options.pinProcesses = true;
+    options.lanes = lanes;
+    netlist::TapeEvaluator subject(nl, options, /*partitioned=*/true);
+    ASSERT_GE(subject.numProcesses(), 2u);
+
+    const netlist::NodeId x = nl.findInput("x");
+    const netlist::NodeId y = nl.findInput("y");
+    for (unsigned l = 0; l < lanes; ++l) {
+        subject.driveInputLane(l, x, BitVector(16, stops[l].first));
+        subject.driveInputLane(l, y, BitVector(16, stops[l].second));
+    }
+    for (uint64_t batch : {3u, 1u, 5u, 1u, 10u})
+        subject.run(batch);
+
+    for (unsigned l = 0; l < lanes; ++l) {
+        SCOPED_TRACE("lane " + std::to_string(l));
+        netlist::Evaluator ref(nl);
+        ref.driveInput(x, BitVector(16, stops[l].first));
+        ref.driveInput(y, BitVector(16, stops[l].second));
+        for (int c = 0; c < 20 && ref.status() == netlist::SimStatus::Ok;
+             ++c)
+            ref.step();
+        EXPECT_EQ(subject.laneStatus(l), ref.status());
+        EXPECT_EQ(subject.laneCycle(l), ref.cycle());
+        EXPECT_EQ(laneState(subject, nl, l), laneState(ref, nl, 0));
+    }
+    EXPECT_EQ(subject.laneCycle(4), 20u);
+}
+
+TEST(Ensemble, SnapshotWithAFrozenLaneResumesOnOneProcess)
+{
+    // A checkpoint taken at P = 4 after lane 0 froze, restored into
+    // the single-process netlist.compiled, must continue exactly like
+    // the parallel engine it came from.
+    netlist::Netlist nl = stopAtInputsDesign();
+    const unsigned lanes = 3;
+    engine::CreateOptions options = ensembleOptions(lanes);
+    options.eval.numThreads = 4;
+    auto parallel = engine::create("netlist.parallel", nl, options);
+    uint64_t processes = 0;
+    for (const engine::Stat &s : parallel->stats())
+        if (s.name == "processes")
+            processes = s.value;
+    ASSERT_GE(processes, 2u);
+    engine::InputHandle x = parallel->bindInput("x");
+    engine::InputHandle y = parallel->bindInput("y");
+    for (unsigned l = 0; l < lanes; ++l) {
+        parallel->setInputLane(x, l, BitVector(16, l == 0 ? 4 : 500));
+        parallel->setInputLane(y, l, BitVector(16, l == 2 ? 17 : 500));
+    }
+    parallel->step(9);
+    ASSERT_EQ(parallel->laneStatus(0), engine::Status::Failed);
+    engine::Snapshot snap;
+    parallel->save(snap);
+
+    auto compiled = engine::create("netlist.compiled", nl,
+                                   ensembleOptions(lanes));
+    compiled->restore(snap);
+    parallel->step(12);
+    compiled->step(12);
+    engine::Snapshot from_parallel, from_compiled;
+    parallel->save(from_parallel);
+    compiled->save(from_compiled);
+    EXPECT_EQ(from_compiled.cycle, from_parallel.cycle);
+    EXPECT_EQ(from_compiled.sections, from_parallel.sections);
+    EXPECT_EQ(compiled->laneStatus(2), engine::Status::Finished);
+    EXPECT_EQ(compiled->laneCycle(1), 21u);
 }
 
 TEST(Ensemble, BatchedStepMatchesStep1Loop)

@@ -14,7 +14,7 @@
  *  - Partition invariants: unique register/memory-write/effect
  *    ownership, operand-closed cones, process-count bound.
  *  - The serial engine's commit-ordering corner cases, replayed on
- *    the parallel engine (staging through the shared register file).
+ *    the parallel engine (commits into the other arena copy).
  *  - The cost model that picks the process count, and pinProcesses.
  *
  * Every test that means to run the worker pool pins the partition
@@ -237,9 +237,9 @@ TEST(ParallelEvaluator, PartitionInvariants)
 
 TEST(ParallelEvaluator, RegisterSwapUsesPreCommitValues)
 {
-    // a.next = b, b.next = a: both commits must stage through the
-    // private regions because their sources live in the shared
-    // register file that is being overwritten in the same phase.
+    // a.next = b, b.next = a: each commit reads the other register in
+    // the current arena copy and writes its own into the other copy,
+    // so neither sees the value the other process commits this cycle.
     netlist::CircuitBuilder b("swap");
     auto ra = b.reg("a", 64, 1);
     auto rb = b.reg("b", 64, 2);
@@ -291,9 +291,9 @@ TEST(ParallelEvaluator, AssertFailureSkipsCommitLikeReference)
 
 TEST(ParallelEvaluator, ThrowingDisplayCallbackDoesNotStrandWorkers)
 {
-    // An exception escaping step() between the two barriers must
-    // still complete the commit rendezvous, or the workers stay
-    // parked and the next step()/destructor deadlocks.  The
+    // An exception escaping step() inside the rendezvous must still
+    // release the workers, or they stay parked and the next
+    // step()/destructor deadlocks.  The
     // one-register design runs as a single process with no workers
     // even at numThreads=3; the second adds an independent wide
     // register whose cone partitions apart, so a worker really is
@@ -351,6 +351,54 @@ TEST(ParallelEvaluator, ThrowingDisplayCallbackDoesNotStrandWorkers)
             ASSERT_EQ(par.displayLog().size(), 1u);
             EXPECT_EQ(par.displayLog()[0], "c=0");
         }
+    }
+}
+
+TEST(ParallelEvaluator, ThrowLeavesMemoriesUnwritten)
+{
+    // The master applies memory writes only once a cycle commits, so a
+    // throwing display sink leaves every memory as it was and the
+    // retried cycle writes it once.  The wide register partitions
+    // apart from the memory's writer at numThreads=3.
+    netlist::CircuitBuilder b("memthrow");
+    auto c = b.reg("c", 8, 5);
+    b.next(c, c.read() + b.lit(8, 1));
+    auto mem = b.memory("m", 8, 16);
+    mem.write(c.read(), c.read() + b.lit(8, 100), b.lit(1, 1));
+    b.display(b.lit(1, 1), "c=%d", {c.read()});
+    auto w = b.reg("w", 256, 3);
+    netlist::Signal v = w.read();
+    for (unsigned i = 0; i < 8; ++i)
+        v = (v * v) ^ (v + b.lit(256, i + 1));
+    b.next(w, v);
+    const Netlist nl = b.build();
+
+    for (unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        TapeEvaluator par(nl, {threads, MergeAlgo::Balanced, true},
+                          /*partitioned=*/true);
+        if (threads > 1)
+            EXPECT_GE(par.numProcesses(), 2u);
+        ASSERT_EQ(par.step(), SimStatus::Ok); // m[5] = 105
+        EXPECT_EQ(par.memValue(0, 5).toUint64(), 105u);
+        const BitVector w1 = par.regValue("w");
+
+        par.onDisplay = [](const std::string &) {
+            throw std::runtime_error("sink failed");
+        };
+        EXPECT_THROW(par.step(), std::runtime_error);
+        EXPECT_EQ(par.cycle(), 1u);
+        EXPECT_EQ(par.memValue(0, 6).toUint64(), 0u);
+        EXPECT_EQ(par.regValue("c").toUint64(), 6u);
+        EXPECT_EQ(par.regValue("w"), w1);
+
+        par.onDisplay = nullptr;
+        ASSERT_EQ(par.step(), SimStatus::Ok); // retried: m[6] = 106
+        EXPECT_EQ(par.cycle(), 2u);
+        EXPECT_EQ(par.memValue(0, 6).toUint64(), 106u);
+        EXPECT_EQ(par.regValue("c").toUint64(), 7u);
+        ASSERT_EQ(par.displayLog().size(), 2u);
+        EXPECT_EQ(par.displayLog()[1], "c=6");
     }
 }
 
