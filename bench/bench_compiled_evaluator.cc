@@ -4,10 +4,12 @@
  * benchmark set at the paper's >= 64-core scale (the same large
  * builds Fig. 7 / Table 3 use).  The reference Evaluator allocates a
  * BitVector per node per cycle; the TapeEvaluator runs the same
- * DAG as a flat tape over a preallocated limb arena.  The measured
- * ratio is the cost of that allocation + indirection, and the row is
- * appended to BENCH_compiled_evaluator.json so the perf trajectory is
- * tracked from PR 1 on.
+ * DAG as a level-ordered flat tape over a preallocated limb arena,
+ * paying one dispatch per same-opcode run.  The measured ratio is the
+ * cost of that allocation + indirection.  Each rate is the median of
+ * kSamples windows, each on a fresh engine; the rows, with quartiles,
+ * n, tape ops and dispatches per Vcycle, go to
+ * BENCH_compiled_evaluator.json.
  */
 
 #include <cstdio>
@@ -20,10 +22,14 @@ using namespace manticore;
 
 namespace {
 
+constexpr unsigned kSamples = 5;
+
+/** One 0.2 s window of batched run() calls on a fresh engine. */
+template <typename Eval>
 double
-measure(netlist::EvaluatorBase &eval, uint64_t horizon, uint64_t chunk)
+measure(const netlist::Netlist &nl, uint64_t horizon, uint64_t chunk)
 {
-    eval.onDisplay = nullptr;
+    Eval eval(nl);
     return bench::measureRateKhz(
         [&](uint64_t n) {
             return eval.run(n) == netlist::SimStatus::Ok;
@@ -40,8 +46,9 @@ main()
         "Compiled tape evaluator vs reference netlist evaluator "
         "(Fig. 6 designs, large builds)");
 
-    std::printf("%8s  %12s  %12s  %9s  %8s  %10s\n", "bench", "ref kHz",
-                "tape kHz", "speedup", "tape ops", "arena KiB");
+    std::printf("%8s  %10s  %10s  %9s  %8s  %10s  %10s\n", "bench",
+                "ref kHz", "tape kHz", "speedup", "tape ops",
+                "dispatches", "arena KiB");
 
     FILE *json = std::fopen("BENCH_compiled_evaluator.json", "w");
     if (json)
@@ -55,28 +62,34 @@ main()
         uint64_t horizon = bench::measureHorizon(bm.name);
         netlist::Netlist nl = bm.build(horizon);
 
-        auto ref = std::make_unique<netlist::Evaluator>(nl);
         // The reference engine can be slow enough that the default
         // 2048-cycle chunk overshoots the budget; use a smaller one.
-        double ref_khz = measure(*ref, horizon, 256);
+        const bench::RateSample ref = bench::medianRateKhz(
+            [&] { return measure<netlist::Evaluator>(nl, horizon, 256); },
+            kSamples);
+        const bench::RateSample tape = bench::medianRateKhz(
+            [&] {
+                return measure<netlist::TapeEvaluator>(nl, horizon, 2048);
+            },
+            kSamples);
 
-        netlist::TapeEvaluator tape(nl);
-        double tape_khz = measure(tape, horizon, 2048);
-
-        double speedup = ref_khz > 0 ? tape_khz / ref_khz : 0.0;
+        netlist::TapeEvaluator shape(nl);
+        double speedup = ref.median > 0 ? tape.median / ref.median : 0.0;
         speedups.push_back(speedup);
-        std::printf("%8s  %12.1f  %12.1f  %8.2fx  %8zu  %10.1f\n",
-                    bm.name.c_str(), ref_khz, tape_khz, speedup,
-                    tape.tapeLength(),
-                    tape.arenaLimbs() * 8.0 / 1024.0);
+        std::printf("%8s  %10.1f  %10.1f  %8.2fx  %8zu  %10zu  %10.1f\n",
+                    bm.name.c_str(), ref.median, tape.median, speedup,
+                    shape.tapeLength(), shape.tapeDispatches(),
+                    shape.arenaLimbs() * 8.0 / 1024.0);
         if (json) {
+            std::fprintf(json, "%s    {\"design\": \"%s\", ",
+                         first ? "" : ",\n", bm.name.c_str());
+            bench::writeRate(json, "reference_khz", ref);
+            bench::writeRate(json, "compiled_khz", tape);
             std::fprintf(json,
-                         "%s    {\"design\": \"%s\", "
-                         "\"reference_khz\": %.2f, "
-                         "\"compiled_khz\": %.2f, "
-                         "\"speedup\": %.2f}",
-                         first ? "" : ",\n", bm.name.c_str(), ref_khz,
-                         tape_khz, speedup);
+                         "\"n\": %u, \"speedup\": %.2f, "
+                         "\"tape_ops\": %zu, \"dispatches\": %zu}",
+                         kSamples, speedup, shape.tapeLength(),
+                         shape.tapeDispatches());
             first = false;
         }
     }

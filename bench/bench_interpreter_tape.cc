@@ -48,14 +48,6 @@ measure(const isa::Program &program, const isa::MachineConfig &config,
         horizon - 8, 0.2, chunk);
 }
 
-void
-writeRate(FILE *json, const char *key, const bench::RateSample &r)
-{
-    std::fprintf(json,
-                 "\"%s\": %.2f, \"%s_q1\": %.2f, \"%s_q3\": %.2f, ",
-                 key, r.median, key, r.q1, key, r.q3);
-}
-
 } // namespace
 
 int
@@ -110,8 +102,8 @@ main()
         if (json) {
             std::fprintf(json, "%s    {\"design\": \"%s\", ",
                          first ? "" : ",\n", bm.name.c_str());
-            writeRate(json, "reference_khz", ref);
-            writeRate(json, "tape_khz", tape);
+            bench::writeRate(json, "reference_khz", ref);
+            bench::writeRate(json, "tape_khz", tape);
             std::fprintf(json,
                          "\"n\": %u, "
                          "\"speedup\": %.2f, "

@@ -192,6 +192,16 @@ medianRateKhz(const std::function<double()> &sample, unsigned k = 5)
             k};
 }
 
+/** One JSON fragment `"key": median, "key_q1": q1, "key_q3": q3, `
+ *  for a bench row (the caller writes n once per row). */
+inline void
+writeRate(FILE *json, const char *key, const RateSample &r)
+{
+    std::fprintf(json,
+                 "\"%s\": %.2f, \"%s_q1\": %.2f, \"%s_q3\": %.2f, ",
+                 key, r.median, key, r.q1, key, r.q3);
+}
+
 inline double
 geomean(const std::vector<double> &xs)
 {

@@ -464,6 +464,8 @@ emitInstr(std::ostream &os, const tape::Instr &in,
            << "u, " << m.wordLimbs << "u);";
         break;
       }
+      default: // run heads: AOT tapes are never run-marked
+        MANTICORE_PANIC("run head in an AOT tape");
     }
     os << "\n";
 }
@@ -724,6 +726,8 @@ emitInstrLaned(std::ostream &os, const tape::Instr &in,
            << m.wordLimbs << "u, " << m.wordLimbs << "u);";
         break;
       }
+      default: // run heads: AOT tapes are never run-marked
+        MANTICORE_PANIC("run head in an AOT tape");
     }
     os << "\n";
 }

@@ -1,5 +1,7 @@
 #include "netlist/tape.hh"
 
+#include <algorithm>
+
 #include "support/limbops.hh"
 #include "support/logging.hh"
 
@@ -29,12 +31,53 @@ buildMemStates(const Netlist &netlist, unsigned lanes)
     return mems;
 }
 
+Op
+opcode(const Netlist &netlist, NodeId id, const std::vector<MemState> &mems)
+{
+    const Node &n = netlist.node(id);
+    bool narrow = n.width <= 64; // result fits one limb
+    bool narrow_a =              // operand 0 fits one limb
+        n.operands.empty() || netlist.node(n.operands[0]).width <= 64;
+
+    switch (n.kind) {
+      case OpKind::Add: return narrow ? Op::NAdd : Op::WAdd;
+      case OpKind::Sub: return narrow ? Op::NSub : Op::WSub;
+      case OpKind::Mul: return narrow ? Op::NMul : Op::WMul;
+      case OpKind::And: return narrow ? Op::NAnd : Op::WAnd;
+      case OpKind::Or: return narrow ? Op::NOr : Op::WOr;
+      case OpKind::Xor: return narrow ? Op::NXor : Op::WXor;
+      case OpKind::Not: return narrow ? Op::NNot : Op::WNot;
+      case OpKind::Shl: return narrow ? Op::NShl : Op::WShl;
+      case OpKind::Lshr: return narrow ? Op::NLshr : Op::WLshr;
+      case OpKind::Eq: return narrow_a ? Op::NEq : Op::WEq;
+      case OpKind::Ult: return narrow_a ? Op::NUlt : Op::WUlt;
+      case OpKind::Slt: return narrow_a ? Op::NSlt : Op::WSlt;
+      case OpKind::Mux: return narrow ? Op::NMux : Op::WMux;
+      case OpKind::Slice: return narrow_a ? Op::NSlice : Op::WSlice;
+      case OpKind::Concat: return narrow ? Op::NConcat : Op::WConcat;
+      case OpKind::ZExt: return narrow ? Op::NZExt : Op::WZExt;
+      case OpKind::SExt: return narrow ? Op::NSExt : Op::WSExt;
+      case OpKind::RedOr: return narrow_a ? Op::NRedOr : Op::WRedOr;
+      case OpKind::RedAnd: return narrow_a ? Op::NRedAnd : Op::WRedAnd;
+      case OpKind::RedXor: return narrow_a ? Op::NRedXor : Op::WRedXor;
+      case OpKind::MemRead:
+        return mems[n.memId].wordLimbs == 1 ? Op::NMemRead
+                                            : Op::WMemRead;
+      case OpKind::Const:
+      case OpKind::Input:
+      case OpKind::RegRead:
+        break;
+    }
+    MANTICORE_FATAL("source node has no tape lowering");
+}
+
 Instr
 lower(const Netlist &netlist, NodeId id, uint32_t dst, uint32_t a,
       uint32_t b, uint32_t c, const std::vector<MemState> &mems)
 {
     const Node &n = netlist.node(id);
     Instr in;
+    in.op = opcode(netlist, id, mems);
     in.dst = dst;
     in.a = a;
     in.b = b;
@@ -45,60 +88,42 @@ lower(const Netlist &netlist, NodeId id, uint32_t dst, uint32_t a,
         in.aw = netlist.node(n.operands[0]).width;
     if (n.operands.size() > 1)
         in.bw = netlist.node(n.operands[1]).width;
-
-    bool narrow = n.width <= 64;   // result fits one limb
-    bool narrow_a = in.aw <= 64;   // operand 0 fits one limb
-
-    switch (n.kind) {
-      case OpKind::Add: in.op = narrow ? Op::NAdd : Op::WAdd; break;
-      case OpKind::Sub: in.op = narrow ? Op::NSub : Op::WSub; break;
-      case OpKind::Mul: in.op = narrow ? Op::NMul : Op::WMul; break;
-      case OpKind::And: in.op = narrow ? Op::NAnd : Op::WAnd; break;
-      case OpKind::Or: in.op = narrow ? Op::NOr : Op::WOr; break;
-      case OpKind::Xor: in.op = narrow ? Op::NXor : Op::WXor; break;
-      case OpKind::Not: in.op = narrow ? Op::NNot : Op::WNot; break;
-      case OpKind::Shl: in.op = narrow ? Op::NShl : Op::WShl; break;
-      case OpKind::Lshr:
-        in.op = narrow ? Op::NLshr : Op::WLshr;
-        break;
-      case OpKind::Eq: in.op = narrow_a ? Op::NEq : Op::WEq; break;
-      case OpKind::Ult: in.op = narrow_a ? Op::NUlt : Op::WUlt; break;
-      case OpKind::Slt: in.op = narrow_a ? Op::NSlt : Op::WSlt; break;
-      case OpKind::Mux: in.op = narrow ? Op::NMux : Op::WMux; break;
-      case OpKind::Slice:
+    if (n.kind == OpKind::Slice)
         in.lo = n.lo;
-        in.op = narrow_a ? Op::NSlice : Op::WSlice;
-        break;
-      case OpKind::Concat:
-        in.op = narrow ? Op::NConcat : Op::WConcat;
-        break;
-      case OpKind::ZExt:
-        in.op = narrow ? Op::NZExt : Op::WZExt;
-        break;
-      case OpKind::SExt:
-        in.op = narrow ? Op::NSExt : Op::WSExt;
-        break;
-      case OpKind::RedOr:
-        in.op = narrow_a ? Op::NRedOr : Op::WRedOr;
-        break;
-      case OpKind::RedAnd:
-        in.op = narrow_a ? Op::NRedAnd : Op::WRedAnd;
-        in.mask = lo::topMask(in.aw); // operand mask
-        break;
-      case OpKind::RedXor:
-        in.op = narrow_a ? Op::NRedXor : Op::WRedXor;
-        break;
-      case OpKind::MemRead:
+    else if (n.kind == OpKind::MemRead)
         in.lo = n.memId;
-        in.op = mems[n.memId].wordLimbs == 1 ? Op::NMemRead
-                                             : Op::WMemRead;
-        break;
-      case OpKind::Const:
-      case OpKind::Input:
-      case OpKind::RegRead:
-        MANTICORE_FATAL("source node has no tape lowering");
-    }
+    else if (n.kind == OpKind::RedAnd)
+        in.mask = lo::topMask(in.aw); // operand mask
     return in;
+}
+
+void
+markRuns(std::vector<Instr> &tape)
+{
+    constexpr size_t kMinRun = 3; // see tape.hh for the measurement
+    for (size_t i = 0, n = tape.size(); i < n;) {
+        const Op op = tape[i].op;
+        size_t run = 1;
+        while (i + run < n && run < 0xffff && tape[i + run].op == op)
+            ++run;
+        if (op >= Op::NAdd && op <= Op::NMemRead && run >= kMinRun) {
+            tape[i].op = static_cast<Op>(static_cast<int>(op) -
+                                         static_cast<int>(Op::NAdd) +
+                                         static_cast<int>(Op::NAddRun));
+            tape[i].run = static_cast<uint16_t>(run);
+        }
+        i += run;
+    }
+}
+
+size_t
+dispatches(const std::vector<Instr> &tape)
+{
+    size_t count = 0;
+    for (size_t i = 0; i < tape.size();
+         i += std::max<size_t>(tape[i].run, 1))
+        ++count;
+    return count;
 }
 
 BitVector
@@ -250,15 +275,102 @@ shiftAmountLane(const Instr &in, const uint64_t *A, unsigned lane,
     return in.width;
 }
 
+/** One narrow (single-limb) op across the lanes: the N* bodies of
+ *  runImpl, shared by singletons and run heads. */
+template <Op kOp, unsigned kLanes>
+__attribute__((always_inline)) inline void
+narrowOp(const Instr &in, uint64_t *A, const MemState *mems, unsigned L)
+{
+    if constexpr (kOp == Op::NAdd)
+        lo::addN<kLanes>(A + in.dst, A + in.a, A + in.b, in.mask, L);
+    else if constexpr (kOp == Op::NSub)
+        lo::subN<kLanes>(A + in.dst, A + in.a, A + in.b, in.mask, L);
+    else if constexpr (kOp == Op::NMul)
+        lo::mulN<kLanes>(A + in.dst, A + in.a, A + in.b, in.mask, L);
+    else if constexpr (kOp == Op::NAnd)
+        lo::andN<kLanes>(A + in.dst, A + in.a, A + in.b, L);
+    else if constexpr (kOp == Op::NOr)
+        lo::orN<kLanes>(A + in.dst, A + in.a, A + in.b, L);
+    else if constexpr (kOp == Op::NXor)
+        lo::xorN<kLanes>(A + in.dst, A + in.a, A + in.b, L);
+    else if constexpr (kOp == Op::NNot)
+        lo::notN<kLanes>(A + in.dst, A + in.a, in.mask, L);
+    else if constexpr (kOp == Op::NShl) {
+        const uint32_t bs = lo::nlimbs(in.bw);
+        for (unsigned l = 0; l < L; ++l) {
+            uint64_t amt = shiftAmountLane(in, A, l, bs);
+            A[in.dst + l] =
+                amt >= in.width ? 0 : (A[in.a + l] << amt) & in.mask;
+        }
+    } else if constexpr (kOp == Op::NLshr) {
+        const uint32_t bs = lo::nlimbs(in.bw);
+        for (unsigned l = 0; l < L; ++l) {
+            uint64_t amt = shiftAmountLane(in, A, l, bs);
+            A[in.dst + l] = amt >= in.width ? 0 : A[in.a + l] >> amt;
+        }
+    } else if constexpr (kOp == Op::NEq)
+        lo::eqN<kLanes>(A + in.dst, A + in.a, A + in.b, L);
+    else if constexpr (kOp == Op::NUlt)
+        lo::ultN<kLanes>(A + in.dst, A + in.a, A + in.b, L);
+    else if constexpr (kOp == Op::NSlt)
+        lo::sltN<kLanes>(A + in.dst, A + in.a, A + in.b,
+                         1ull << (in.aw - 1), L);
+    else if constexpr (kOp == Op::NMux)
+        lo::muxN<kLanes>(A + in.dst, A + in.a, A + in.b, A + in.c, L);
+    else if constexpr (kOp == Op::NSlice)
+        lo::sliceN<kLanes>(A + in.dst, A + in.a, in.lo, in.mask, L);
+    else if constexpr (kOp == Op::NConcat)
+        lo::concatN<kLanes>(A + in.dst, A + in.a, A + in.b, in.bw, L);
+    else if constexpr (kOp == Op::NZExt)
+        lo::copyN<kLanes>(A + in.dst, A + in.a, L);
+    else if constexpr (kOp == Op::NSExt) {
+        if (in.aw < in.width)
+            lo::sextN<kLanes>(A + in.dst, A + in.a, in.aw, in.mask, L);
+        else
+            lo::copyN<kLanes>(A + in.dst, A + in.a, L);
+    } else if constexpr (kOp == Op::NRedOr)
+        lo::redOrN<kLanes>(A + in.dst, A + in.a, L);
+    else if constexpr (kOp == Op::NRedAnd)
+        lo::redAndN<kLanes>(A + in.dst, A + in.a, in.mask, L);
+    else if constexpr (kOp == Op::NRedXor)
+        lo::redXorN<kLanes>(A + in.dst, A + in.a, L);
+    else {
+        static_assert(kOp == Op::NMemRead, "not a narrow opcode");
+        const MemState &m = mems[in.lo];
+        const uint32_t as = lo::nlimbs(in.aw);
+        for (unsigned l = 0; l < L; ++l)
+            A[in.dst + l] = m.words[(A[in.a + l * as] % m.depth) * L + l];
+    }
+}
+
+// Every narrow opcode: a singleton case and its run-head case, which
+// executes the head and its tail in one loop and resumes after it.
+// Only single-lane tapes carry run heads, so the laned instantiations
+// compile no run loops.
+#define MANTICORE_NARROW_CASES(NAME) \
+    case Op::N##NAME: \
+        narrowOp<Op::N##NAME, kLanes>(in, A, mems, L); \
+        break; \
+    case Op::N##NAME##Run: \
+        if constexpr (kLanes != 1) \
+            __builtin_unreachable(); \
+        for (const Instr *const e = ip + in.run; ip != e; ++ip) \
+            narrowOp<Op::N##NAME, kLanes>(*ip, A, mems, L); \
+        continue;
+#define MANTICORE_NARROW_OPS(X) \
+    X(Add) X(Sub) X(Mul) X(And) X(Or) X(Xor) X(Not) X(Shl) X(Lshr) \
+    X(Eq) X(Ult) X(Slt) X(Mux) X(Slice) X(Concat) X(ZExt) X(SExt) \
+    X(RedOr) X(RedAnd) X(RedXor) X(MemRead)
+
 /** The executor, templated on the lane count: kLanes == 1 is the
  *  scalar instantiation (the lane loops and per-operand strides fold
- *  away, keeping single-simulation codegen identical to the
- *  pre-ensemble tape); kLanes == 0 takes the width from `dyn_lanes`
+ *  away); kLanes == 0 takes the width from `dyn_lanes`
  *  and advances every lane of the ensemble per decoded op.  Narrow
  *  ops stream the laned single-limb kernels from support/limbops.hh
  *  (unit stride — one op's N lane values are N consecutive limbs);
  *  wide ops loop the span kernels over the lanes with each operand's
- *  stride hoisted out of the loop. */
+ *  stride hoisted out of the loop.  Run heads (single-lane tapes
+ *  only, see markRuns) pay one dispatch for their whole run. */
 /** noinline: each instantiation keeps its own code so the compiler
  *  cannot cross-jump the two big switch bodies into shared tails,
  *  which would put extra jumps on the single-lane hot path. */
@@ -268,74 +380,11 @@ runImpl(const Instr *instrs, size_t count, uint64_t *A,
         const MemState *mems, unsigned dyn_lanes)
 {
     const unsigned L = kLanes != 0 ? kLanes : dyn_lanes;
-    for (size_t i = 0; i < count; ++i) {
-        const Instr &in = instrs[i];
+    for (const Instr *ip = instrs, *const end = instrs + count;
+         ip != end;) {
+        const Instr &in = *ip;
         switch (in.op) {
-          case Op::NAdd:
-            lo::addN<kLanes>(A + in.dst, A + in.a, A + in.b, in.mask, L);
-            break;
-          case Op::NSub:
-            lo::subN<kLanes>(A + in.dst, A + in.a, A + in.b, in.mask, L);
-            break;
-          case Op::NMul:
-            lo::mulN<kLanes>(A + in.dst, A + in.a, A + in.b, in.mask, L);
-            break;
-          case Op::NAnd: lo::andN<kLanes>(A + in.dst, A + in.a, A + in.b, L); break;
-          case Op::NOr: lo::orN<kLanes>(A + in.dst, A + in.a, A + in.b, L); break;
-          case Op::NXor: lo::xorN<kLanes>(A + in.dst, A + in.a, A + in.b, L); break;
-          case Op::NNot: lo::notN<kLanes>(A + in.dst, A + in.a, in.mask, L); break;
-          case Op::NShl: {
-            const uint32_t bs = lo::nlimbs(in.bw);
-            for (unsigned l = 0; l < L; ++l) {
-                uint64_t amt = shiftAmountLane(in, A, l, bs);
-                A[in.dst + l] =
-                    amt >= in.width ? 0 : (A[in.a + l] << amt) & in.mask;
-            }
-            break;
-          }
-          case Op::NLshr: {
-            const uint32_t bs = lo::nlimbs(in.bw);
-            for (unsigned l = 0; l < L; ++l) {
-                uint64_t amt = shiftAmountLane(in, A, l, bs);
-                A[in.dst + l] = amt >= in.width ? 0 : A[in.a + l] >> amt;
-            }
-            break;
-          }
-          case Op::NEq: lo::eqN<kLanes>(A + in.dst, A + in.a, A + in.b, L); break;
-          case Op::NUlt: lo::ultN<kLanes>(A + in.dst, A + in.a, A + in.b, L); break;
-          case Op::NSlt:
-            lo::sltN<kLanes>(A + in.dst, A + in.a, A + in.b,
-                     1ull << (in.aw - 1), L);
-            break;
-          case Op::NMux:
-            lo::muxN<kLanes>(A + in.dst, A + in.a, A + in.b, A + in.c, L);
-            break;
-          case Op::NSlice:
-            lo::sliceN<kLanes>(A + in.dst, A + in.a, in.lo, in.mask, L);
-            break;
-          case Op::NConcat:
-            lo::concatN<kLanes>(A + in.dst, A + in.a, A + in.b, in.bw, L);
-            break;
-          case Op::NZExt: lo::copyN<kLanes>(A + in.dst, A + in.a, L); break;
-          case Op::NSExt:
-            if (in.aw < in.width)
-                lo::sextN<kLanes>(A + in.dst, A + in.a, in.aw, in.mask, L);
-            else
-                lo::copyN<kLanes>(A + in.dst, A + in.a, L);
-            break;
-          case Op::NRedOr: lo::redOrN<kLanes>(A + in.dst, A + in.a, L); break;
-          case Op::NRedAnd:
-            lo::redAndN<kLanes>(A + in.dst, A + in.a, in.mask, L);
-            break;
-          case Op::NRedXor: lo::redXorN<kLanes>(A + in.dst, A + in.a, L); break;
-          case Op::NMemRead: {
-            const MemState &m = mems[in.lo];
-            const uint32_t as = lo::nlimbs(in.aw);
-            for (unsigned l = 0; l < L; ++l)
-                A[in.dst + l] =
-                    m.words[(A[in.a + l * as] % m.depth) * L + l];
-            break;
-          }
+          MANTICORE_NARROW_OPS(MANTICORE_NARROW_CASES)
           case Op::WAdd: {
             const uint32_t s = lo::nlimbs(in.width);
             for (unsigned l = 0; l < L; ++l)
@@ -495,8 +544,12 @@ runImpl(const Instr *instrs, size_t count, uint64_t *A,
             break;
           }
         }
+        ++ip;
     }
 }
+
+#undef MANTICORE_NARROW_OPS
+#undef MANTICORE_NARROW_CASES
 
 } // namespace
 

@@ -14,13 +14,25 @@
  * no function calls); wider nodes run the span kernels from
  * support/limbops.hh.
  *
+ * Each process's single-lane interpreted tape is statically
+ * scheduled at construction (TapeEvaluator::compile; AOT and ensemble
+ * tapes keep node id order): its nodes are stable-sorted by (level,
+ * opcode), where sources are level 0 and a node sits one level above
+ * its deepest operand.  Operands still precede their readers, and the
+ * same-opcode nodes of a level sit side by side, so markRuns can turn
+ * every run of >= 3 identical narrow opcodes into one run head that
+ * run() executes in a single loop: one dispatch per run instead of
+ * one per node (mm 3270 ops -> 73 dispatches per Vcycle, jpeg 77 ->
+ * 41; BENCH_compiled_evaluator.json).  Wide ops keep one dispatch per
+ * op.
+ *
  * The arena may hold an N-lane ensemble (N decoupled simulations,
  * lane-strided: lane l of a node's value sits l * nlimbs(width) limbs
  * after lane 0).  run() then executes each decoded op across all
  * lanes before advancing the tape — one dispatch amortised over N
  * simulations — with per-operand lane strides hoisted out of the
  * lane loop.  The single-lane instantiation folds the lane loops
- * away and is codegen-identical to the pre-ensemble executor.
+ * away.
  */
 
 #ifndef MANTICORE_NETLIST_TAPE_HH
@@ -37,7 +49,9 @@
 
 namespace manticore::netlist::tape {
 
-/** Tape opcodes: N* = single-limb fast path, W* = span kernels. */
+/** Tape opcodes: N* = single-limb fast path, W* = span kernels,
+ *  N*Run = run heads (see markRuns), one per N* opcode in N* order.
+ *  lower() emits only N* and W* opcodes. */
 enum class Op : uint8_t
 {
     NAdd, NSub, NMul, NAnd, NOr, NXor, NNot,
@@ -48,7 +62,17 @@ enum class Op : uint8_t
     WShl, WLshr, WEq, WUlt, WSlt, WMux,
     WSlice, WConcat, WZExt, WSExt,
     WRedOr, WRedAnd, WRedXor, WMemRead,
+    NAddRun, NSubRun, NMulRun, NAndRun, NOrRun, NXorRun, NNotRun,
+    NShlRun, NLshrRun, NEqRun, NUltRun, NSltRun, NMuxRun,
+    NSliceRun, NConcatRun, NZExtRun, NSExtRun,
+    NRedOrRun, NRedAndRun, NRedXorRun, NMemReadRun,
 };
+
+static_assert(static_cast<int>(Op::NMemReadRun) -
+                      static_cast<int>(Op::NAddRun) ==
+                  static_cast<int>(Op::NMemRead) -
+                      static_cast<int>(Op::NAdd),
+              "one run-head opcode per narrow opcode");
 
 /** One tape instruction.  dst/a/b/c are limb offsets into the
  *  arena; widths are bit widths; lo doubles as the slice low bit
@@ -57,6 +81,9 @@ enum class Op : uint8_t
 struct Instr
 {
     Op op;
+    /// Run heads only: the run's length, this instruction included;
+    /// the tail follows with the base opcode.  Sits in padding.
+    uint16_t run = 0;
     uint32_t dst = 0;
     uint32_t a = 0, b = 0, c = 0;
     uint32_t width = 0;
@@ -64,6 +91,8 @@ struct Instr
     uint32_t lo = 0;
     uint64_t mask = 0;
 };
+
+static_assert(sizeof(Instr) == 48, "run length must fit the padding");
 
 /** Dense limb-array image of one netlist memory, one image per
  *  ensemble lane (lanes contiguous per word, like the arena). */
@@ -99,15 +128,33 @@ BitVector readSlot(const uint64_t *slot, unsigned width);
 std::vector<MemState> buildMemStates(const Netlist &netlist,
                                      unsigned lanes = 1);
 
+/** The base opcode lower() picks for a combinational node. */
+Op opcode(const Netlist &netlist, NodeId id,
+          const std::vector<MemState> &mems);
+
 /** Lower one combinational node to a tape instruction.  The caller
  *  resolves operand slots (dst, a, b, c) into its arena layout.
  *  `id` must not be a source node (Const/Input/RegRead). */
 Instr lower(const Netlist &netlist, NodeId id, uint32_t dst, uint32_t a,
             uint32_t b, uint32_t c, const std::vector<MemState> &mems);
 
+/** Mark every maximal run of at least 3 identical narrow opcodes in
+ *  a single-lane tape as a run head: the head gets the N*Run opcode
+ *  and the run length, and run() executes the run in one loop,
+ *  paying one dispatch for it.  In-run execution is in
+ *  tape order, so dependent neighbours stay correct.  Runs of 1-2
+ *  stay singletons: looping them measured slower than dispatching
+ *  them (netlist.compiled on jpeg: 0.55x with every op a run head,
+ *  0.81-0.94x from length 2). */
+void markRuns(std::vector<Instr> &tape);
+
+/** Dispatches run() pays for one pass of the tape: one per run head
+ *  and one per instruction outside a run. */
+size_t dispatches(const std::vector<Instr> &tape);
+
 /** The two executor instantiations behind run(): the single-lane
- *  tape (codegen-identical to the pre-ensemble executor) and the
- *  dynamic-width ensemble tape.  Call run() instead. */
+ *  tape (the only one that meets run heads) and the dynamic-width
+ *  ensemble tape.  Call run() instead. */
 void runScalar(const Instr *instrs, size_t count, uint64_t *A,
                const MemState *mems);
 void runEnsemble(const Instr *instrs, size_t count, uint64_t *A,

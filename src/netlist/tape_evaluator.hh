@@ -178,6 +178,11 @@ class TapeEvaluator : public EvaluatorBase
      *  numThreads() is 1, which skips the partitioner. */
     const NetlistPartitionStats &partitionStats() const { return _stats; }
     size_t tapeLength() const; ///< total instructions across processes
+    /** Dispatches the interpreted tapes pay per Vcycle, summed over
+     *  processes: tapeLength() minus the run tails (tape::markRuns;
+     *  equal to tapeLength() on ensemble and AOT tapes, which carry
+     *  no run heads). */
+    size_t tapeDispatches() const;
     /** One arena copy's limbs (the slot layout); the engine stores
      *  two such copies. */
     size_t arenaLimbs() const { return _arena.limbs(); }

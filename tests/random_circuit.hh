@@ -4,7 +4,9 @@
  * differential property tests (test_compiled_evaluator.cc,
  * test_parallel_evaluator.cc): covers every OpKind, widths 1..200
  * biased around the 64-bit limb boundary, memories with writes,
- * asserts, displays and $finish.
+ * asserts, displays and $finish.  replicate() copies a netlist so
+ * that a level-ordered tape holds same-opcode runs at every level, and
+ * cornerCircuit() pins the operand corners those runs must keep.
  */
 
 #ifndef MANTICORE_TESTS_RANDOM_CIRCUIT_HH
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "netlist/builder.hh"
 #include "netlist/netlist.hh"
 #include "support/rng.hh"
 
@@ -274,6 +277,121 @@ class RandomCircuit
     std::vector<netlist::MemId> _mems;
     std::vector<unsigned> _inputWidths;
 };
+
+/** A netlist with the input widths its in<i> inputs take. */
+struct TestCircuit
+{
+    netlist::Netlist netlist;
+    std::vector<unsigned> inputWidths;
+};
+
+/** `copies` structurally identical copies of a netlist whose inputs
+ *  are in0..in<n-1> (in id order), in one netlist: copy k gets inputs
+ *  in<k*n>..in<k*n+n-1> and its own registers, memories, memory
+ *  writes and side effects.  Every (level, opcode) group of the
+ *  original appears `copies` times, so at copies >= 3 a level-ordered
+ *  tape holds runs of every narrow opcode the original has, while
+ *  each copy still sees its own stimulus. */
+inline TestCircuit
+replicate(const netlist::Netlist &nl,
+          const std::vector<unsigned> &input_widths, unsigned copies)
+{
+    using namespace netlist;
+    TestCircuit out{Netlist(nl.name()), {}};
+    Netlist &dst = out.netlist;
+    for (unsigned k = 0; k < copies; ++k) {
+        const std::string tag = "_c" + std::to_string(k);
+        std::vector<NodeId> map(nl.numNodes(), kInvalidNode);
+        std::vector<MemId> mems;
+        for (const Memory &m : nl.memories()) {
+            Memory copy = m;
+            copy.name += tag;
+            mems.push_back(dst.addMemory(std::move(copy)));
+        }
+        std::vector<RegId> regs;
+        for (const Register &r : nl.registers()) {
+            Register copy;
+            copy.name = r.name + tag;
+            copy.width = r.width;
+            copy.init = r.init;
+            regs.push_back(dst.addRegister(std::move(copy)));
+            map[r.current] = dst.reg(regs.back()).current;
+        }
+        unsigned input = 0;
+        for (size_t i = 0; i < nl.numNodes(); ++i) {
+            Node n = nl.node(static_cast<NodeId>(i));
+            if (n.kind == OpKind::RegRead)
+                continue;
+            if (n.kind == OpKind::Input)
+                n.name = "in" + std::to_string(k * input_widths.size() +
+                                               input++);
+            if (n.kind == OpKind::MemRead)
+                n.memId = mems[n.memId];
+            for (NodeId &op : n.operands)
+                op = map[op];
+            map[i] = dst.addNode(std::move(n));
+        }
+        for (size_t r = 0; r < regs.size(); ++r)
+            dst.connectNext(regs[r], map[nl.registers()[r].next]);
+        for (const MemWrite &w : nl.memWrites())
+            dst.addMemWrite({mems[w.mem], map[w.addr], map[w.data],
+                             map[w.enable]});
+        for (const Display &d : nl.displays()) {
+            Display copy = d;
+            copy.enable = map[d.enable];
+            for (NodeId &a : copy.args)
+                a = map[a];
+            dst.addDisplay(std::move(copy));
+        }
+        for (const Assert &a : nl.asserts())
+            dst.addAssert({map[a.enable], map[a.cond], a.message + tag});
+        for (const Finish &f : nl.finishes())
+            dst.addFinish({map[f.enable]});
+        out.inputWidths.insert(out.inputWidths.end(),
+                               input_widths.begin(), input_widths.end());
+    }
+    dst.validate();
+    return out;
+}
+
+/** The operand corners a narrow run must keep exact, each result held
+ *  in a register: shift amounts below and at or above the width, amount
+ *  operands wider than 64 bits that do and do not fit 64, SExt with
+ *  aw == width (and widening), RedAnd masks at 3, 64 and 100 bits, and
+ *  narrow and wide MemRead with a memory write. */
+inline TestCircuit
+cornerCircuit()
+{
+    using namespace netlist;
+    CircuitBuilder b("corners");
+    Signal v = b.input("in0", 40);   // narrow shift value
+    Signal amt = b.input("in1", 7);  // 0..127: below and >= 40
+    Signal wide = b.input("in2", 100);
+    Signal sel = b.input("in3", 3);
+    Signal amt_wide = amt.zext(100); // > 64 bits, fits uint64
+    MemHandle narrow_mem = b.memory("nm", 16, 8);
+    MemHandle wide_mem = b.memory("wm", 80, 5);
+    std::vector<Signal> results = {
+        v.shl(amt), v.lshr(amt),
+        v.shl(amt_wide), v.lshr(amt_wide),
+        v.shl(wide), v.lshr(wide), // > 64 bits, rarely fits
+        wide.shl(amt), wide.lshr(amt_wide),
+        b.makeNode(OpKind::SExt, 40, {v.id()}), // aw == width
+        b.makeNode(OpKind::SExt, 3, {sel.id()}),
+        v.sext(64), sel.sext(50),
+        sel.reduceAnd(), sel.bit(0).sext(64).reduceAnd(),
+        v.slice(0, 2).reduceAnd(), sel.bit(1).sext(100).reduceAnd(),
+        narrow_mem.read(sel), wide_mem.read(sel),
+        narrow_mem.read(v.slice(3, 3)),
+    };
+    narrow_mem.write(amt.slice(0, 3), v.slice(8, 16), sel.bit(2));
+    wide_mem.write(sel, wide.slice(10, 80), amt.bit(0));
+    for (size_t i = 0; i < results.size(); ++i) {
+        RegHandle r = b.reg("k" + std::to_string(i), results[i].width());
+        b.next(r, results[i]);
+    }
+    return {b.build(), {40, 7, 100, 3}};
+}
 
 } // namespace manticore::testing
 

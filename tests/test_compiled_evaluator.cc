@@ -7,7 +7,8 @@
  * input stimulus, asserting identical register / memory / display /
  * status state every cycle.  Plus directed tests for the
  * commit-ordering corner cases the arena layout introduces (register
- * storage doubling as RegRead slots).
+ * storage doubling as RegRead slots), and replicated circuits whose
+ * level-ordered tapes run mostly through run heads.
  */
 
 #include <gtest/gtest.h>
@@ -29,8 +30,11 @@ using netlist::OpKind;
 using netlist::RegId;
 using netlist::SimStatus;
 using netlist::TapeEvaluator;
+using manticore::testing::cornerCircuit;
 using manticore::testing::RandomCircuit;
 using manticore::testing::randomValue;
+using manticore::testing::replicate;
+using manticore::testing::TestCircuit;
 
 namespace {
 
@@ -89,6 +93,39 @@ TEST(CompiledEvaluator, RandomizedDifferential)
         SCOPED_TRACE("seed " + std::to_string(seed));
         runDifferential(std::move(nl), gen.inputWidths(), seed, 48);
     }
+}
+
+TEST(CompiledEvaluator, ReplicatedCircuitsMatchReference)
+{
+    // Three copies of every cone: each level of the level-ordered tape
+    // holds a run of every narrow opcode it has, so most ops execute
+    // inside a run head's loop rather than as singletons.
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        RandomCircuit gen(seed * 0x9e3779b9ull);
+        TestCircuit rep = replicate(gen.build(), gen.inputWidths(), 3);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        runDifferential(std::move(rep.netlist), rep.inputWidths, seed, 48);
+    }
+    TestCircuit corners = cornerCircuit();
+    TestCircuit rep = replicate(corners.netlist, corners.inputWidths, 3);
+    runDifferential(std::move(rep.netlist), rep.inputWidths, 7, 200);
+}
+
+TEST(CompiledEvaluator, RunHeadsCutDispatches)
+{
+    TestCircuit corners = cornerCircuit();
+    TestCircuit rep = replicate(corners.netlist, corners.inputWidths, 3);
+    TapeEvaluator scalar(rep.netlist);
+    EXPECT_LT(scalar.tapeDispatches(), scalar.tapeLength());
+    // Most of its ops sit in runs of three or more.
+    EXPECT_LE(scalar.tapeDispatches() * 2, scalar.tapeLength());
+
+    // Ensembles keep one dispatch per op.
+    netlist::EvalOptions options;
+    options.lanes = 2;
+    TapeEvaluator laned(rep.netlist, options);
+    EXPECT_EQ(laned.tapeDispatches(), laned.tapeLength());
+    EXPECT_EQ(laned.tapeLength(), scalar.tapeLength());
 }
 
 TEST(CompiledEvaluator, RegisterSwapUsesPreCommitValues)

@@ -9,6 +9,9 @@
  *    memories, display transcript (side-effect ordering), status and
  *    failure message.  Run it under TSan via
  *    `cmake -DMANTICORE_SANITIZE=thread` + `ctest -L parallel`.
+ *  - Replicated circuits (three copies per cone, plus the operand
+ *    corner circuit) pinned at P = 2 and 4, so each process's
+ *    level-ordered tape runs mostly through run heads.
  *  - Determinism: identical waveform samples across repeated runs,
  *    thread counts, and merge algorithms.
  *  - Partition invariants: unique register/memory-write/effect
@@ -47,8 +50,11 @@ using netlist::OpKind;
 using netlist::RegId;
 using netlist::SimStatus;
 using netlist::TapeEvaluator;
+using manticore::testing::cornerCircuit;
 using manticore::testing::RandomCircuit;
 using manticore::testing::randomValue;
+using manticore::testing::replicate;
+using manticore::testing::TestCircuit;
 
 namespace {
 
@@ -132,6 +138,41 @@ TEST(ParallelEvaluator, RandomizedDifferential)
                      std::to_string(options.numThreads) + " algo " +
                      mergeAlgoName(options.mergeAlgo));
         runDifferential(nl, gen.inputWidths(), seed, 48, options);
+    }
+}
+
+TEST(ParallelEvaluator, ReplicatedCircuitsAtTwoAndFourProcesses)
+{
+    // Three copies of every cone, so each process's level-ordered tape
+    // holds same-opcode runs at every level; pinned at P = 2 and 4.
+    std::vector<TestCircuit> circuits;
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        RandomCircuit gen(seed * 0x9e3779b9ull);
+        circuits.push_back(replicate(gen.build(), gen.inputWidths(), 3));
+    }
+    TestCircuit corners = cornerCircuit();
+    circuits.push_back(replicate(corners.netlist, corners.inputWidths, 3));
+    for (unsigned threads : {2u, 4u}) {
+        // A process may hold a single copy of a small cone, so runs
+        // are counted over all circuits rather than per process.
+        size_t ops = 0, dispatches = 0;
+        for (size_t i = 0; i < circuits.size(); ++i) {
+            const TestCircuit &c = circuits[i];
+            EvalOptions options;
+            options.numThreads = threads;
+            options.pinProcesses = true;
+            options.mergeAlgo =
+                i % 2 == 0 ? MergeAlgo::Balanced : MergeAlgo::Lpt;
+            SCOPED_TRACE("circuit " + std::to_string(i) + " threads " +
+                         std::to_string(threads));
+            TapeEvaluator par(c.netlist, options, /*partitioned=*/true);
+            EXPECT_GE(par.numProcesses(), 2u);
+            ops += par.tapeLength();
+            dispatches += par.tapeDispatches();
+            runDifferential(c.netlist, c.inputWidths, 100 + i, 48,
+                            options);
+        }
+        EXPECT_LT(dispatches, ops) << "threads " << threads;
     }
 }
 
